@@ -30,14 +30,13 @@ if [[ -n "$hits" ]]; then
 fi
 echo "ok: no mentions of the removed identification entry points"
 
-# The chained RealtimeIdentifier::with_* constructors are deprecated in
-# favour of the validating builder (RealtimeIdentifier::builder, see
-# docs/api.md). The shims live in crates/core/src/realtime.rs (with
-# their shim-equivalence test) for downstream users; in-repo callers
-# must use the builder.
-BUILDER_ALLOW='^crates/core/src/realtime\.rs:|^docs/api\.md:|^docs/serving\.md:|^CHANGES\.md:|^ISSUE\.md:|^ci/check_deprecated\.sh:'
+# The chained RealtimeIdentifier::with_* constructors were deprecated in
+# 0.3 in favour of the validating builder (RealtimeIdentifier::builder,
+# see docs/api.md) and have since been removed, so any call site — or a
+# reintroduced definition — is an error, as for the 0.2-era names above.
+BUILDER_ALLOW='^docs/api\.md:|^docs/serving\.md:|^CHANGES\.md:|^ISSUE\.md:|^ci/check_deprecated\.sh:'
 
-BUILDER_PATTERN='\.(with_reorder_grace|with_exec_mode)\('
+BUILDER_PATTERN='\b(with_reorder_grace|with_exec_mode)\('
 
 builder_hits=$(grep -rEn "$BUILDER_PATTERN" \
     --include='*.rs' --include='*.md' \
@@ -45,13 +44,13 @@ builder_hits=$(grep -rEn "$BUILDER_PATTERN" \
     | grep -Ev "$BUILDER_ALLOW" || true)
 
 if [[ -n "$builder_hits" ]]; then
-    echo "error: new callers of the deprecated with_* realtime constructors:" >&2
+    echo "error: the with_* realtime constructors were removed; found:" >&2
     echo "$builder_hits" >&2
     echo >&2
     echo "Use RealtimeIdentifier::builder(net)...build() (docs/api.md)." >&2
     exit 1
 fi
-echo "ok: no in-repo callers of the deprecated with_* realtime constructors"
+echo "ok: no mentions of the removed with_* realtime constructors"
 
 # PlanCacheStats is now a read-only view over the taxilight-obs metrics
 # registry; its public fields stay only for serialization compatibility.

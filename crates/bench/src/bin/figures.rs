@@ -98,13 +98,13 @@ fn throughput() {
     }
 }
 
-/// Kernel microbenchmark: times every `taxilight_signal::kernels` entry
-/// point with dispatch forced scalar and then SIMD over identical seeded
-/// inputs, proves the outputs bit-identical, and archives the
-/// machine-readable report as `BENCH_kernels.json` (the artifact CI
-/// uploads). Speedups are machine-dependent; the workload section
-/// (seed, lengths, per-kernel bit-identity + checksum) is byte-identical
-/// across runs of the same seed.
+/// Kernel microbenchmark: times the radix-2 butterfly's selected body
+/// (SSE2 on x86_64) against its scalar reference over every stage of an
+/// 8 192-point transform, in alternating pairs, proves the outputs
+/// bit-identical, and archives the machine-readable report as
+/// `BENCH_kernels.json` (the artifact CI uploads). Speedups are
+/// machine-dependent; the workload section (seed, shape, bit-identity +
+/// checksum) is byte-identical across runs of the same seed.
 fn kernels() {
     use taxilight_bench::kernels::{run_kernel_bench, KernelBenchConfig};
     let cfg = if std::env::args().any(|a| a == "--quick") {

@@ -156,7 +156,7 @@ pub struct ThroughputReport {
     /// Change-point/fusion stage time within the first serial lap,
     /// seconds.
     pub stage_change_s: f64,
-    /// Time inside dispatched `taxilight-signal` kernels during the first
+    /// Time inside `taxilight-signal` kernels during the first
     /// serial lap — a subset of [`Self::stage_cycle_s`] plus the resample
     /// work of stage 3, seconds.
     pub stage_kernel_s: f64,

@@ -33,8 +33,8 @@ use taxilight_trace::geo::heading_difference;
 use taxilight_trace::time::Timestamp;
 
 /// Registry name of the kernel-time counter: nanoseconds spent inside
-/// dispatched `taxilight-signal` kernels (spectrum, resample grid
-/// evaluation), labelled with the active dispatch path. A subset of the
+/// `taxilight-signal` kernels (spectrum, resample grid evaluation),
+/// labelled with the butterfly's instruction path. A subset of the
 /// stage wall-clock counters — lets traces and snapshots separate
 /// vectorized-kernel time from surrounding orchestration.
 pub const STAGE_KERNEL_NANOS_METRIC: &str = "taxilight_stage_kernel_ns_total";
@@ -58,7 +58,7 @@ fn drain_kernel_time(ws: &mut IdentifyWorkspace) {
                 STAGE_KERNEL_NANOS_METRIC,
                 &[("path", taxilight_signal::kernels::active_path_name())],
                 MetricClass::Volatile,
-                "Nanoseconds spent inside dispatched taxilight-signal kernels",
+                "Nanoseconds spent inside taxilight-signal kernels",
             )
         })
         .add(ns);

@@ -50,7 +50,7 @@ pub struct RoundReport {
     /// whose window they belonged to — older than the retained horizon.
     /// Before this counter existed such records were silently buffered and
     /// evicted unused; now the loss is visible so operators can widen
-    /// [`with_reorder_grace`](RealtimeIdentifier::with_reorder_grace).
+    /// [`reorder_grace_s`](RealtimeBuilder::reorder_grace_s).
     pub out_of_grace_total: u64,
     /// Feed-clock seconds between the newest record seen and the latest
     /// round instant — how far the watermark had to run past the round
@@ -74,9 +74,9 @@ pub struct RealtimeIdentifier<'a> {
     /// Re-identification cadence (the paper's 5 minutes).
     interval_s: u32,
     /// Extra feed-clock slack before a due round fires, to let records
-    /// delayed in transit arrive. See [`with_reorder_grace`].
+    /// delayed in transit arrive. See [`reorder_grace_s`].
     ///
-    /// [`with_reorder_grace`]: RealtimeIdentifier::with_reorder_grace
+    /// [`reorder_grace_s`]: RealtimeBuilder::reorder_grace_s
     reorder_grace_s: u32,
     /// Execution mode handed to the engine on every round.
     exec: ExecMode,
@@ -149,7 +149,10 @@ impl<'a> RealtimeBuilder<'a> {
 
     /// Reorder grace in feed-clock seconds (default 0): a round due at
     /// `t` only fires once the watermark passes `t + grace`, giving
-    /// records delayed in transit that long to arrive.
+    /// records delayed in transit that long to arrive. With a grace
+    /// covering the feed's worst reordering, a shuffled feed reproduces
+    /// the clean feed's schedules exactly (rounds still analyse the
+    /// window ending at `t`).
     pub fn reorder_grace_s(mut self, v: u32) -> Self {
         self.reorder_grace_s = v;
         self
@@ -240,32 +243,6 @@ impl<'a> RealtimeIdentifier<'a> {
                 "Feed-clock seconds between the watermark and the latest round instant",
             ),
         }
-    }
-
-    /// Sets the reorder grace: a round due at `t` only fires once the feed
-    /// watermark passes `t + grace_s`, giving records delayed in transit
-    /// that long to arrive. With a grace covering the feed's worst
-    /// reordering, a shuffled feed reproduces the clean feed's schedules
-    /// exactly (rounds still analyse the window ending at `t`).
-    #[deprecated(
-        since = "0.3.0",
-        note = "use RealtimeIdentifier::builder(net).reorder_grace_s(..) — scheduled for removal one release after 0.3"
-    )]
-    pub fn with_reorder_grace(mut self, grace_s: u32) -> Self {
-        self.reorder_grace_s = grace_s;
-        self
-    }
-
-    /// Sets the engine [`ExecMode`] used by re-identification rounds.
-    /// Never changes results (sharded and serial are bit-identical); only
-    /// wall-clock.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use RealtimeIdentifier::builder(net).exec_mode(..) — scheduled for removal one release after 0.3"
-    )]
-    pub fn with_exec_mode(mut self, exec: ExecMode) -> Self {
-        self.exec = exec;
-        self
     }
 
     /// Feeds one raw record. Records may arrive out of order (network
@@ -820,24 +797,6 @@ mod tests {
         let rt = RealtimeIdentifier::builder(&city.net).build().unwrap();
         assert_eq!(rt.interval_s, 300);
         assert_eq!(rt.reorder_grace_s, 0);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_methods_match_builder() {
-        let (city, _signals, records, _) = world();
-        let mut old = RealtimeIdentifier::new(&city.net, IdentifyConfig::default(), 300)
-            .with_reorder_grace(45)
-            .with_exec_mode(ExecMode::Serial);
-        let mut new = RealtimeIdentifier::builder(&city.net)
-            .reorder_grace_s(45)
-            .exec_mode(ExecMode::Serial)
-            .build()
-            .unwrap();
-        old.extend(records.iter());
-        new.extend(records.iter());
-        assert_eq!(old.view().digest(), new.view().digest());
-        assert_eq!(old.view().version(), new.view().version());
     }
 
     #[test]

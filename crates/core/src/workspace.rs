@@ -44,7 +44,7 @@ pub struct StageTimings {
     red_ns: u64,
     /// Stage 3: superposition, change-point search and onset fusion.
     change_ns: u64,
-    /// Time spent inside dispatched `taxilight-signal` kernels (spectrum +
+    /// Time spent inside `taxilight-signal` kernels (spectrum +
     /// resample grid evaluation), a *subset* of `cycle_ns` — drained from
     /// the signal workspace after each stage-1 lap so traces can separate
     /// vectorized-kernel time from surrounding orchestration.

@@ -19,6 +19,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use taxilight_core::{IdentifyConfig, IdentifyWorkspace, SpectrumPath};
 
@@ -57,6 +58,11 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads, so each test holds this lock for its whole run: a sibling
+/// test's warm-up allocations never land in another's measurement window.
+static ONE_TEST_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 /// Deterministic sparse speed trace with a planted red/green square wave.
 ///
 /// Mimics what [`crate::cycle::speed_samples`] produces for a light with a
@@ -82,6 +88,7 @@ fn planted_speed_trace(window_s: usize, cycle_s: f64, red_s: f64, seed: u64) -> 
 
 #[test]
 fn steady_state_cycle_path_is_allocation_free() {
+    let _serial = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let exact = IdentifyConfig::default();
     let padded = IdentifyConfig { spectrum: SpectrumPath::PaddedPow2, ..IdentifyConfig::default() };
 
@@ -118,6 +125,7 @@ fn steady_state_cycle_path_is_allocation_free() {
 
 #[test]
 fn steady_state_holds_across_alternating_shapes() {
+    let _serial = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     // Alternating between two shapes must also stay allocation-free once both
     // are warm: buffers only ever grow, and the plan cache keys on length.
     let cfg = IdentifyConfig::default();

@@ -124,7 +124,7 @@ impl std::error::Error for ParseError {}
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, ParseError> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, bytes: input.as_bytes(), pos: 0 };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -137,6 +137,9 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The whole document; `pos` always sits on one of its char
+    /// boundaries between tokens.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -255,12 +258,16 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one full UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash
+                    // (or the end, which the next turn reports). Both
+                    // delimiters are ASCII, so the run ends on a char
+                    // boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .map_or(self.bytes.len(), |k| self.pos + k);
+                    out.push_str(&self.src[self.pos..run]);
+                    self.pos = run;
                 }
             }
         }
@@ -586,6 +593,16 @@ mod tests {
     fn parse_unicode_escapes() {
         let doc = parse(r#""Aé😀""#).unwrap();
         assert_eq!(doc.as_str(), Some("Aé😀"));
+    }
+
+    #[test]
+    fn parse_raw_multibyte_around_escapes() {
+        let doc = parse(r#"["é\n😀", "\t日本\"語", "üéß", "end€", "€", "", "\\"]"#).unwrap();
+        let got: Vec<&str> = doc.as_arr().unwrap().iter().map(|v| v.as_str().unwrap()).collect();
+        assert_eq!(got, ["é\n😀", "\t日本\"語", "üéß", "end€", "€", "", "\\"]);
+        // A string cut off after a multi-byte run reports where it ran out.
+        let err = parse("\"日本").unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (7, "unterminated string"));
     }
 
     #[test]

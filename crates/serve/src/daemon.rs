@@ -297,8 +297,8 @@ impl Daemon {
             "HTTP requests answered",
         );
         // Build/runtime identity: the value is always 1, the labels
-        // carry it. Volatile — the resolved kernel path is a property
-        // of the host CPU, not of the feed bytes.
+        // carry it. Volatile — the kernel path is a property of the
+        // build target, not of the feed bytes.
         let build_info = reg.gauge(
             "taxilight_build_info",
             &[

@@ -98,15 +98,28 @@ pub fn moving_average(signal: &[f64], window: usize) -> Vec<f64> {
 /// `window` is clamped to the signal length.
 pub fn circular_moving_average(signal: &[f64], window: usize) -> Vec<f64> {
     let mut out = Vec::with_capacity(signal.len());
-    crate::kernels::circular_moving_average_into(signal, window, &mut out);
+    circular_moving_average_into(signal, window, &mut out);
     out
 }
 
 /// [`circular_moving_average`] into a caller-supplied buffer (cleared
-/// first). Identical arithmetic — same rolling sum, same division — so the
-/// output is bit-identical; allocation-free once `out` has capacity.
+/// first); allocation-free once `out` has capacity. The rolling sum is a
+/// sequential chain (drop the sample leaving the window, add the one
+/// entering it), so every output is that running sum divided by the
+/// window.
 pub fn circular_moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
-    crate::kernels::circular_moving_average_into(signal, window, out);
+    out.clear();
+    let n = signal.len();
+    if n == 0 {
+        return;
+    }
+    let w = window.clamp(1, n);
+    let mut sum: f64 = signal[..w].iter().sum();
+    for i in 0..n {
+        out.push(sum / w as f64);
+        sum -= signal[i];
+        sum += signal[(i + w) % n];
+    }
 }
 
 /// Index of the minimum value; ties resolve to the earliest index. Returns

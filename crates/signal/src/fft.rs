@@ -48,7 +48,7 @@ pub fn fft_pow2_in_place(buf: &mut [Complex64]) {
     // Each stage's twiddles are materialised with the same incremental
     // `w *= w_base` chain the loop used to carry inline (every block
     // restarts at ONE, so one table serves all blocks), then the stage runs
-    // through the dispatched kernel — bit-identical by construction.
+    // through the butterfly kernel — bit-identical by construction.
     let mut twiddles: Vec<Complex64> = Vec::with_capacity(n / 2);
     let mut half = 1;
     while half < n {

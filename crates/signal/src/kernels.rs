@@ -1,187 +1,102 @@
-//! Explicit-width SIMD kernels for the signal hot path.
+//! The inner loops of the signal hot path.
 //!
 //! Every inner loop that dominates a per-light identification lap — complex
 //! magnitudes, radix-2 butterfly passes, Bluestein's pointwise complex
-//! products, the grid-resample evaluations, the 4-lane sums/dot products
-//! behind means and variances, and the circular moving average — lives here
-//! twice: once as a portable **4-lane-chunked scalar** implementation
-//! (written so the autovectorizer can lift it), and once as an
-//! **explicit-width SIMD** implementation (`x86_64` SSE2 — part of the
-//! baseline ABI, so no feature detection — or aarch64 NEON, both via
-//! `core::arch`; other targets reuse the scalar lanes).
-//!
-//! # Dispatch contract
-//!
-//! A single process-global dispatch point selects the path:
-//!
-//! * `TAXILIGHT_KERNELS=scalar|simd` (read once, lazily) — the differential
-//!   knob CI uses to run the whole workspace test suite under both paths;
-//! * [`force`] overrides it at runtime, which is how the in-process
-//!   differential proptests compare both paths in one run;
-//! * the default (no env var) is [`KernelDispatch::Simd`].
+//! products, the grid-resample evaluations and the 4-lane sums behind means
+//! and variances — lives here once, as portable scalar code written so the
+//! autovectorizer can lift it. Only [`butterfly_stage`] keeps a second,
+//! explicit SSE2 body on `x86_64` (part of the baseline ABI, so no feature
+//! detection), chosen at compile time: measured at the shapes the pipeline
+//! runs, it is the one kernel whose SIMD body pays end to end.
 //!
 //! # Numeric contract
 //!
-//! **The scalar and SIMD paths are bit-identical on finite inputs for every
-//! kernel in this module** (pinned by `tests/kernel_identity.rs`): the
-//! scalar fallback performs the same IEEE-754 operations in the same order,
-//! including the 4-lane accumulator structure of the reductions (two 2-lane
-//! registers combined as `(l0+l2)+(l1+l3)`, remainder appended
-//! sequentially). Relative to the *legacy* (pre-kernel) code two classes
-//! exist:
+//! The SSE2 butterfly is bit-identical to [`scalar::butterfly_stage`] on
+//! finite inputs (pinned by `tests/kernel_identity.rs`): it performs the
+//! same IEEE-754 operations in the same order. Relative to the *legacy*
+//! (pre-kernel) code two classes exist:
 //!
 //! * **bit-identity class** — element-wise kernels (butterflies, complex
-//!   products, conjugate/scale, resample evaluations, the circular moving
-//!   average, demean subtraction) preserve the legacy summation order and
-//!   stay bit-identical to it;
-//! * **accuracy-gated class** — reductions ([`sum`], [`dot`],
-//!   [`sum_sq_diff`]) reassociate into four lanes, and [`magnitudes_into`]
-//!   computes `sqrt(re² + im²)` instead of `f64::hypot`; these change
-//!   low-order bits vs. the legacy code and are validated end-to-end by the
-//!   `evalsuite` accuracy and robustness gates, the same discipline as
-//!   `SpectrumPath::PaddedPow2`.
+//!   products, conjugate/scale, resample evaluations, demean subtraction)
+//!   preserve the legacy summation order and stay bit-identical to it;
+//! * **accuracy-gated class** — reductions ([`sum`], [`sum_sq_diff`])
+//!   reassociate into four lanes combined as `(l0+l2)+(l1+l3)`, and
+//!   [`magnitudes_into`] computes `sqrt(re² + im²)` instead of
+//!   `f64::hypot`; these change low-order bits vs. the legacy code and are
+//!   validated end-to-end by the `evalsuite` accuracy and robustness gates,
+//!   the same discipline as `SpectrumPath::PaddedPow2`. Every digest depends
+//!   on this exact operation order.
 //!
 //! Kernels never allocate: callers pass slices or reuse output `Vec`s
 //! (cleared/resized, so warm calls stay inside the zero-alloc gate).
 
 use crate::complex::Complex64;
-use std::sync::atomic::{AtomicU8, Ordering};
 
-/// Which kernel implementation the process-global dispatch point selects.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelDispatch {
-    /// The portable 4-lane-chunked scalar fallback.
-    Scalar,
-    /// The explicit-width SIMD path for this target (SSE2 on `x86_64`,
-    /// NEON on aarch64; the scalar lanes elsewhere).
-    Simd,
-}
-
-const UNINIT: u8 = 0;
-const SCALAR: u8 = 1;
-const SIMD: u8 = 2;
-
-static ACTIVE: AtomicU8 = AtomicU8::new(UNINIT);
-
-#[cold]
-fn init_from_env() -> u8 {
-    let code = match std::env::var("TAXILIGHT_KERNELS") {
-        Ok(v) if v.eq_ignore_ascii_case("scalar") => SCALAR,
-        Ok(v) if v.eq_ignore_ascii_case("simd") => SIMD,
-        Ok(v) => panic!("TAXILIGHT_KERNELS must be \"scalar\" or \"simd\", got {v:?}"),
-        Err(_) => SIMD,
-    };
-    ACTIVE.store(code, Ordering::Relaxed);
-    code
-}
-
-/// The currently selected dispatch, initialised from `TAXILIGHT_KERNELS`
-/// on first use.
-///
-/// # Panics
-/// Panics when the environment variable is set to anything other than
-/// `scalar` or `simd` — a typo must not silently pick a path.
-#[inline]
-pub fn dispatch() -> KernelDispatch {
-    match ACTIVE.load(Ordering::Relaxed) {
-        SCALAR => KernelDispatch::Scalar,
-        SIMD => KernelDispatch::Simd,
-        _ => {
-            if init_from_env() == SCALAR {
-                KernelDispatch::Scalar
-            } else {
-                KernelDispatch::Simd
-            }
-        }
+/// Name of the butterfly's instruction path, for benchmark environment
+/// capture: `"sse2"` on `x86_64`, `"portable"` elsewhere.
+pub const fn active_path_name() -> &'static str {
+    if cfg!(target_arch = "x86_64") {
+        "sse2"
+    } else {
+        "portable"
     }
 }
 
-/// Overrides the process-global dispatch (used by differential tests and
-/// the kernel microbench; normal code lets the env default stand).
-pub fn force(d: KernelDispatch) {
-    let code = match d {
-        KernelDispatch::Scalar => SCALAR,
-        KernelDispatch::Simd => SIMD,
-    };
-    ACTIVE.store(code, Ordering::Relaxed);
-}
-
-/// Human-readable name of the active instruction path, for benchmark
-/// environment capture: `"scalar"`, `"sse2"`, `"neon"`, or `"portable"`.
-pub fn active_path_name() -> &'static str {
-    match dispatch() {
-        KernelDispatch::Scalar => "scalar",
-        KernelDispatch::Simd => simd::PATH_NAME,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Dispatching wrappers. Each forwards to the selected path; both paths are
-// bit-identical, so the choice is a pure performance decision.
-// ---------------------------------------------------------------------------
-
-/// 4-lane-chunked sum. Reassociates relative to a sequential `iter().sum()`
-/// (accuracy-gated class).
-#[inline]
+/// 4-lane-chunked sum; lanes combine as `(l0+l2)+(l1+l3)`, the remainder
+/// is appended sequentially. Reassociates relative to a sequential
+/// `iter().sum()` (accuracy-gated class).
 pub fn sum(xs: &[f64]) -> f64 {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::sum(xs),
-        KernelDispatch::Simd => simd::sum(xs),
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = xs.chunks_exact(4);
+    for c in chunks.by_ref() {
+        lanes[0] += c[0];
+        lanes[1] += c[1];
+        lanes[2] += c[2];
+        lanes[3] += c[3];
     }
-}
-
-/// 4-lane-chunked dot product (no FMA contraction — multiply then add, so
-/// both paths round identically). Accuracy-gated class.
-///
-/// # Panics
-/// Panics when the slices differ in length.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot requires equal-length slices");
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::dot(a, b),
-        KernelDispatch::Simd => simd::dot(a, b),
+    let mut total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+    for &x in chunks.remainder() {
+        total += x;
     }
+    total
 }
 
 /// 4-lane-chunked `Σ (x − m)²` — the variance numerator. Accuracy-gated
 /// class.
-#[inline]
 pub fn sum_sq_diff(xs: &[f64], m: f64) -> f64 {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::sum_sq_diff(xs, m),
-        KernelDispatch::Simd => simd::sum_sq_diff(xs, m),
+    let mut lanes = [0.0f64; 4];
+    let mut chunks = xs.chunks_exact(4);
+    for c in chunks.by_ref() {
+        let d0 = c[0] - m;
+        let d1 = c[1] - m;
+        let d2 = c[2] - m;
+        let d3 = c[3] - m;
+        lanes[0] += d0 * d0;
+        lanes[1] += d1 * d1;
+        lanes[2] += d2 * d2;
+        lanes[3] += d3 * d3;
     }
+    let mut total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+    for &x in chunks.remainder() {
+        let d = x - m;
+        total += d * d;
+    }
+    total
 }
 
 /// Complex magnitudes `sqrt(re² + im²)` into `out` (cleared first).
 /// Element-wise, but `sqrt(re² + im²)` differs from the legacy
 /// `f64::hypot` in low-order bits — accuracy-gated class.
-#[inline]
 pub fn magnitudes_into(spec: &[Complex64], out: &mut Vec<f64>) {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::magnitudes_into(spec, out),
-        KernelDispatch::Simd => simd::magnitudes_into(spec, out),
-    }
+    out.clear();
+    out.extend(spec.iter().map(|c| (c.re * c.re + c.im * c.im).sqrt()));
 }
 
 /// `out[i] = src[i] − m` (cleared first) — the demean loop. Bit-identity
 /// class.
-#[inline]
 pub fn subtract_scalar_into(src: &[f64], m: f64, out: &mut Vec<f64>) {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::subtract_scalar_into(src, m, out),
-        KernelDispatch::Simd => simd::subtract_scalar_into(src, m, out),
-    }
-}
-
-/// `xs[i] /= d` in place. Bit-identity class.
-#[inline]
-pub fn divide_in_place(xs: &mut [f64], d: f64) {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::divide_in_place(xs, d),
-        KernelDispatch::Simd => simd::divide_in_place(xs, d),
-    }
+    out.clear();
+    out.extend(src.iter().map(|&v| v - m));
 }
 
 /// One radix-2 butterfly stage over the whole buffer: for every block of
@@ -201,10 +116,14 @@ pub fn butterfly_stage(buf: &mut [Complex64], half: usize, twiddles: &[Complex64
         buf.len(),
         2 * half
     );
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::butterfly_stage(buf, half, twiddles),
-        KernelDispatch::Simd => simd::butterfly_stage(buf, half, twiddles),
+    // SAFETY: the two asserts above are exactly the preconditions of
+    // `sse2::butterfly_stage`.
+    #[cfg(target_arch = "x86_64")]
+    unsafe {
+        sse2::butterfly_stage(buf, half, twiddles);
     }
+    #[cfg(not(target_arch = "x86_64"))]
+    scalar::butterfly_stage(buf, half, twiddles);
 }
 
 /// Pointwise complex product `out[i] = a[i] · b[i]`. Bit-identity class
@@ -213,12 +132,10 @@ pub fn butterfly_stage(buf: &mut [Complex64], half: usize, twiddles: &[Complex64
 ///
 /// # Panics
 /// Panics when the slices differ in length.
-#[inline]
 pub fn cmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
     assert!(a.len() == b.len() && a.len() == out.len(), "cmul_into requires equal-length slices");
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::cmul_into(a, b, out),
-        KernelDispatch::Simd => simd::cmul_into(a, b, out),
+    for ((x, y), o) in a.iter().zip(b).zip(out) {
+        *o = *x * *y;
     }
 }
 
@@ -226,31 +143,25 @@ pub fn cmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
 ///
 /// # Panics
 /// Panics when the slices differ in length.
-#[inline]
 pub fn cmul_in_place(a: &mut [Complex64], b: &[Complex64]) {
     assert_eq!(a.len(), b.len(), "cmul_in_place requires equal-length slices");
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::cmul_in_place(a, b),
-        KernelDispatch::Simd => simd::cmul_in_place(a, b),
+    for (x, y) in a.iter_mut().zip(b) {
+        *x *= *y;
     }
 }
 
 /// Conjugates every element in place. Bit-identity class.
-#[inline]
 pub fn conj_in_place(buf: &mut [Complex64]) {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::conj_in_place(buf),
-        KernelDispatch::Simd => simd::conj_in_place(buf),
+    for c in buf {
+        *c = c.conj();
     }
 }
 
 /// `buf[i] = conj(buf[i]) · k` in place — the IFFT epilogue. Bit-identity
 /// class.
-#[inline]
 pub fn conj_scale_in_place(buf: &mut [Complex64], k: f64) {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::conj_scale_in_place(buf, k),
-        KernelDispatch::Simd => simd::conj_scale_in_place(buf, k),
+    for c in buf {
+        *c = c.conj().scale(k);
     }
 }
 
@@ -263,23 +174,46 @@ pub fn conj_scale_in_place(buf: &mut [Complex64], k: f64) {
 ///
 /// # Panics
 /// Panics when `points` is empty.
-#[inline]
 pub fn lerp_grid_into(points: &[(f64, f64)], t0: f64, dt: f64, count: usize, out: &mut Vec<f64>) {
     assert!(!points.is_empty(), "lerp_grid_into requires at least one point");
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::lerp_grid_into(points, t0, dt, count, out),
-        KernelDispatch::Simd => simd::lerp_grid_into(points, t0, dt, count, out),
+    out.clear();
+    if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
+        // Non-monotone grid: fall back to the per-point binary search
+        // (identical arithmetic — this *is* the legacy evaluation).
+        out.extend((0..count).map(|k| crate::interpolate::linear_eval(points, t0 + dt * k as f64)));
+        return;
+    }
+    let n = points.len();
+    let (t_first, y_first) = points[0];
+    let (t_last, y_last) = points[n - 1];
+    let mut idx = 1usize;
+    for k in 0..count {
+        let x = t0 + dt * k as f64;
+        let y = if x <= t_first {
+            y_first
+        } else if x >= t_last {
+            y_last
+        } else {
+            while points[idx].0 <= x {
+                idx += 1;
+            }
+            let (x0, y0) = points[idx - 1];
+            let (x1, y1) = points[idx];
+            let w = (x - x0) / (x1 - x0);
+            y0 + w * (y1 - y0)
+        };
+        out.push(y);
     }
 }
 
 /// Natural-cubic-spline evaluation of (`points`, second derivatives `m2`)
 /// on the regular grid into `out` (cleared first), bit-identical to the
 /// per-point spline evaluation used by `SignalWorkspace::resample_into`
-/// and `CubicSpline::eval`. Bit-identity class.
+/// and `CubicSpline::eval`, with a monotone segment scan. Bit-identity
+/// class.
 ///
 /// # Panics
 /// Panics when `points` is empty or `m2.len() != points.len()`.
-#[inline]
 pub fn spline_grid_into(
     points: &[(f64, f64)],
     m2: &[f64],
@@ -290,134 +224,53 @@ pub fn spline_grid_into(
 ) {
     assert!(!points.is_empty(), "spline_grid_into requires at least one point");
     assert_eq!(m2.len(), points.len(), "one second derivative per knot");
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::spline_grid_into(points, m2, t0, dt, count, out),
-        KernelDispatch::Simd => simd::spline_grid_into(points, m2, t0, dt, count, out),
-    }
-}
-
-/// Circular (wrap-around) moving average into `out` (cleared first),
-/// bit-identical to [`crate::convolution::circular_moving_average`]: the
-/// rolling-sum chain is kept sequential (it is a true dependency chain) and
-/// only the final division pass is vectorized — same sums, same divisions.
-/// Bit-identity class.
-#[inline]
-pub fn circular_moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
-    match dispatch() {
-        KernelDispatch::Scalar => scalar::circular_moving_average_into(signal, window, out),
-        KernelDispatch::Simd => simd::circular_moving_average_into(signal, window, out),
-    }
-}
-
-/// The sequential rolling-sum pass shared by both circular-moving-average
-/// paths: pushes the *sums* (not yet divided), reproducing the legacy
-/// rolling chain bit for bit.
-fn cma_rolling_sums(signal: &[f64], window: usize, out: &mut Vec<f64>) -> f64 {
     out.clear();
-    let n = signal.len();
-    if n == 0 {
-        return 1.0;
+    let n = points.len();
+    if n == 1 {
+        // `spline_eval` returns the single knot value on both sides of
+        // its clamp branch.
+        out.extend(std::iter::repeat_n(points[0].1, count));
+        return;
     }
-    let w = window.clamp(1, n);
-    let mut sum: f64 = signal[..w].iter().sum();
-    for i in 0..n {
-        out.push(sum);
-        sum -= signal[i];
-        sum += signal[(i + w) % n];
+    if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
+        out.extend(
+            (0..count).map(|k| crate::workspace::spline_eval(points, m2, t0 + dt * k as f64)),
+        );
+        return;
     }
-    w as f64
+    let (t_first, y_first) = points[0];
+    let (t_last, y_last) = points[n - 1];
+    let mut idx = 1usize;
+    for k in 0..count {
+        let x = t0 + dt * k as f64;
+        let y = if x <= t_first {
+            y_first
+        } else if x >= t_last {
+            y_last
+        } else {
+            while points[idx].0 <= x {
+                idx += 1;
+            }
+            let (x0, y0) = points[idx - 1];
+            let (x1, y1) = points[idx];
+            let (m0, m1) = (m2[idx - 1], m2[idx]);
+            let h = x1 - x0;
+            let a = (x1 - x) / h;
+            let b = (x - x0) / h;
+            a * y0 + b * y1 + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0
+        };
+        out.push(y);
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Portable scalar path: 4-lane-chunked, autovectorizer-friendly. The lane
-// structure is not cosmetic — it fixes the reduction order the SIMD paths
-// reproduce, which is what makes the two paths bit-identical.
-// ---------------------------------------------------------------------------
-
-/// Portable 4-lane-chunked scalar implementations (the `Scalar` dispatch
-/// target, and the `Simd` target on architectures without an explicit
-/// path). Exposed so differential tests can compare paths directly.
+/// The portable butterfly: the only body off `x86_64`, and the reference
+/// the SSE2 body is tested against. Exposed for the differential tests and
+/// the kernel microbench.
 #[doc(hidden)]
 pub mod scalar {
     use crate::complex::Complex64;
 
-    /// 4-lane-chunked sum; lanes combine as `(l0+l2)+(l1+l3)`.
-    pub fn sum(xs: &[f64]) -> f64 {
-        let mut lanes = [0.0f64; 4];
-        let mut chunks = xs.chunks_exact(4);
-        for c in chunks.by_ref() {
-            lanes[0] += c[0];
-            lanes[1] += c[1];
-            lanes[2] += c[2];
-            lanes[3] += c[3];
-        }
-        let mut total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-        for &x in chunks.remainder() {
-            total += x;
-        }
-        total
-    }
-
-    /// 4-lane-chunked dot product (separate multiply and add; no FMA).
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let mut lanes = [0.0f64; 4];
-        let mut ca = a.chunks_exact(4);
-        let mut cb = b.chunks_exact(4);
-        for (x, y) in ca.by_ref().zip(cb.by_ref()) {
-            lanes[0] += x[0] * y[0];
-            lanes[1] += x[1] * y[1];
-            lanes[2] += x[2] * y[2];
-            lanes[3] += x[3] * y[3];
-        }
-        let mut total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
-            total += x * y;
-        }
-        total
-    }
-
-    /// 4-lane-chunked `Σ (x − m)²`.
-    pub fn sum_sq_diff(xs: &[f64], m: f64) -> f64 {
-        let mut lanes = [0.0f64; 4];
-        let mut chunks = xs.chunks_exact(4);
-        for c in chunks.by_ref() {
-            let d0 = c[0] - m;
-            let d1 = c[1] - m;
-            let d2 = c[2] - m;
-            let d3 = c[3] - m;
-            lanes[0] += d0 * d0;
-            lanes[1] += d1 * d1;
-            lanes[2] += d2 * d2;
-            lanes[3] += d3 * d3;
-        }
-        let mut total = (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
-        for &x in chunks.remainder() {
-            let d = x - m;
-            total += d * d;
-        }
-        total
-    }
-
-    /// `out[i] = sqrt(re² + im²)` (cleared first).
-    pub fn magnitudes_into(spec: &[Complex64], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(spec.iter().map(|c| (c.re * c.re + c.im * c.im).sqrt()));
-    }
-
-    /// `out[i] = src[i] − m` (cleared first).
-    pub fn subtract_scalar_into(src: &[f64], m: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(src.iter().map(|&v| v - m));
-    }
-
-    /// `xs[i] /= d` in place.
-    pub fn divide_in_place(xs: &mut [f64], d: f64) {
-        for x in xs {
-            *x /= d;
-        }
-    }
-
-    /// One radix-2 butterfly stage (see the dispatching wrapper).
+    /// One radix-2 butterfly stage (see [`super::butterfly_stage`]).
     pub fn butterfly_stage(buf: &mut [Complex64], half: usize, twiddles: &[Complex64]) {
         let n = buf.len();
         let mut start = 0;
@@ -432,1036 +285,67 @@ pub mod scalar {
             start += half * 2;
         }
     }
-
-    /// Pointwise `out[i] = a[i] · b[i]`.
-    pub fn cmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-        for ((x, y), o) in a.iter().zip(b).zip(out) {
-            *o = *x * *y;
-        }
-    }
-
-    /// Pointwise `a[i] *= b[i]`.
-    pub fn cmul_in_place(a: &mut [Complex64], b: &[Complex64]) {
-        for (x, y) in a.iter_mut().zip(b) {
-            *x *= *y;
-        }
-    }
-
-    /// Conjugate in place.
-    pub fn conj_in_place(buf: &mut [Complex64]) {
-        for c in buf {
-            *c = c.conj();
-        }
-    }
-
-    /// `buf[i] = conj(buf[i]) · k` in place.
-    pub fn conj_scale_in_place(buf: &mut [Complex64], k: f64) {
-        for c in buf {
-            *c = c.conj().scale(k);
-        }
-    }
-
-    /// Linear grid evaluation with a monotone segment scan.
-    pub fn lerp_grid_into(
-        points: &[(f64, f64)],
-        t0: f64,
-        dt: f64,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
-            // Non-monotone grid: fall back to the per-point binary search
-            // (identical arithmetic — this *is* the legacy evaluation).
-            out.extend(
-                (0..count).map(|k| crate::interpolate::linear_eval(points, t0 + dt * k as f64)),
-            );
-            return;
-        }
-        let n = points.len();
-        let (t_first, y_first) = points[0];
-        let (t_last, y_last) = points[n - 1];
-        let mut idx = 1usize;
-        for k in 0..count {
-            let x = t0 + dt * k as f64;
-            let y = if x <= t_first {
-                y_first
-            } else if x >= t_last {
-                y_last
-            } else {
-                while points[idx].0 <= x {
-                    idx += 1;
-                }
-                let (x0, y0) = points[idx - 1];
-                let (x1, y1) = points[idx];
-                let w = (x - x0) / (x1 - x0);
-                y0 + w * (y1 - y0)
-            };
-            out.push(y);
-        }
-    }
-
-    /// Cubic-spline grid evaluation with a monotone segment scan.
-    pub fn spline_grid_into(
-        points: &[(f64, f64)],
-        m2: &[f64],
-        t0: f64,
-        dt: f64,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        let n = points.len();
-        if n == 1 {
-            // `spline_eval` returns the single knot value on both sides of
-            // its clamp branch.
-            out.extend(std::iter::repeat_n(points[0].1, count));
-            return;
-        }
-        if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
-            out.extend(
-                (0..count).map(|k| crate::workspace::spline_eval(points, m2, t0 + dt * k as f64)),
-            );
-            return;
-        }
-        let (t_first, y_first) = points[0];
-        let (t_last, y_last) = points[n - 1];
-        let mut idx = 1usize;
-        for k in 0..count {
-            let x = t0 + dt * k as f64;
-            let y = if x <= t_first {
-                y_first
-            } else if x >= t_last {
-                y_last
-            } else {
-                while points[idx].0 <= x {
-                    idx += 1;
-                }
-                let (x0, y0) = points[idx - 1];
-                let (x1, y1) = points[idx];
-                let (m0, m1) = (m2[idx - 1], m2[idx]);
-                let h = x1 - x0;
-                let a = (x1 - x) / h;
-                let b = (x - x0) / h;
-                a * y0 + b * y1 + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0
-            };
-            out.push(y);
-        }
-    }
-
-    /// Circular moving average: sequential rolling sums, then division.
-    pub fn circular_moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
-        let w = super::cma_rolling_sums(signal, window, out);
-        divide_in_place(out, w);
-    }
 }
 
-// ---------------------------------------------------------------------------
-// x86_64: SSE2 (baseline ABI — every x86_64 CPU has it, no detection).
-// ---------------------------------------------------------------------------
-
-/// SSE2 implementations (the `Simd` dispatch target on `x86_64`).
-/// Bit-identical to [`scalar`] on finite inputs. Exposed so differential
-/// tests can compare paths directly.
+/// The SSE2 butterfly (baseline ABI on `x86_64` — every CPU has it, no
+/// detection). Bit-identical to [`scalar::butterfly_stage`] on finite
+/// inputs.
 #[cfg(target_arch = "x86_64")]
-#[doc(hidden)]
-pub mod simd {
+mod sse2 {
     use crate::complex::Complex64;
     use std::arch::x86_64::*;
-
-    /// Instruction-path name for benchmark environment capture.
-    pub const PATH_NAME: &str = "sse2";
 
     /// Complex product of two `[re, im]` registers with the exact
     /// `Complex64: Mul` rounding: `re = a.re·b.re − a.im·b.im`,
     /// `im = a.re·b.im + a.im·b.re`. SSE2 has no `addsubpd` (that is
     /// SSE3), so the subtraction in lane 0 is an `xorpd` sign flip plus
-    /// `addpd` — exact, because IEEE `x − y ≡ x + (−y)`.
+    /// `addpd` — exact, because IEEE `x − y ≡ x + (−y)`. `sign_lo` must
+    /// carry the sign bit in lane 0 only.
+    #[inline(always)]
+    fn cmul(a: __m128d, b: __m128d, sign_lo: __m128d) -> __m128d {
+        // SAFETY: register-only SSE2 arithmetic; SSE2 is part of the
+        // x86_64 baseline.
+        unsafe {
+            let are = _mm_unpacklo_pd(a, a); // [a.re, a.re]
+            let aim = _mm_unpackhi_pd(a, a); // [a.im, a.im]
+            let bsw = _mm_shuffle_pd::<0b01>(b, b); // [b.im, b.re]
+            let v1 = _mm_mul_pd(are, b); // [a.re·b.re, a.re·b.im]
+            let v2 = _mm_mul_pd(aim, bsw); // [a.im·b.im, a.im·b.re]
+            _mm_add_pd(v1, _mm_xor_pd(v2, sign_lo))
+        }
+    }
+
+    /// Butterfly stage: one complex element is exactly one `__m128d`
+    /// (`Complex64` is `repr(C)` `{re, im}`), so `even ± odd` are plain
+    /// `addpd`/`subpd`.
     ///
     /// # Safety
-    /// SSE2 is part of the `x86_64` baseline; no extra invariants.
-    #[inline(always)]
-    unsafe fn cmul(a: __m128d, b: __m128d, sign_lo: __m128d) -> __m128d {
-        let are = _mm_unpacklo_pd(a, a); // [a.re, a.re]
-        let aim = _mm_unpackhi_pd(a, a); // [a.im, a.im]
-        let bsw = _mm_shuffle_pd::<0b01>(b, b); // [b.im, b.re]
-        let v1 = _mm_mul_pd(are, b); // [a.re·b.re, a.re·b.im]
-        let v2 = _mm_mul_pd(aim, bsw); // [a.im·b.im, a.im·b.re]
-        _mm_add_pd(v1, _mm_xor_pd(v2, sign_lo))
-    }
-
-    #[inline(always)]
-    fn sign_lo() -> __m128d {
+    /// `twiddles.len()` must equal `half` and `buf.len()` must be a
+    /// multiple of `2·half`: the loads and stores are unchecked.
+    pub(super) unsafe fn butterfly_stage(
+        buf: &mut [Complex64],
+        half: usize,
+        twiddles: &[Complex64],
+    ) {
+        let n = buf.len();
+        let p = buf.as_mut_ptr() as *mut f64;
+        let tw = twiddles.as_ptr() as *const f64;
         // Lane 0 carries the sign bit: xor negates lane 0 only.
-        unsafe { _mm_set_pd(0.0, -0.0) }
-    }
-
-    #[inline(always)]
-    fn sign_hi() -> __m128d {
-        // Lane 1 carries the sign bit: xor negates the imaginary part.
-        unsafe { _mm_set_pd(-0.0, 0.0) }
-    }
-
-    /// Two-accumulator sum; combines as `(l0+l2)+(l1+l3)` like the scalar
-    /// lanes.
-    pub fn sum(xs: &[f64]) -> f64 {
-        unsafe {
-            let mut acc0 = _mm_setzero_pd();
-            let mut acc1 = _mm_setzero_pd();
-            let quads = xs.len() / 4;
-            let ptr = xs.as_ptr();
-            for q in 0..quads {
-                let p = ptr.add(4 * q);
-                acc0 = _mm_add_pd(acc0, _mm_loadu_pd(p));
-                acc1 = _mm_add_pd(acc1, _mm_loadu_pd(p.add(2)));
+        let sign = _mm_set_pd(0.0, -0.0);
+        let mut start = 0;
+        while start < n {
+            for j in 0..half {
+                let k = start + j;
+                let w = _mm_loadu_pd(tw.add(2 * j));
+                let even = _mm_loadu_pd(p.add(2 * k));
+                let odd_raw = _mm_loadu_pd(p.add(2 * (k + half)));
+                let odd = cmul(odd_raw, w, sign);
+                _mm_storeu_pd(p.add(2 * k), _mm_add_pd(even, odd));
+                _mm_storeu_pd(p.add(2 * (k + half)), _mm_sub_pd(even, odd));
             }
-            let pair = _mm_add_pd(acc0, acc1);
-            let mut total = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-            for &x in &xs[4 * quads..] {
-                total += x;
-            }
-            total
+            start += half * 2;
         }
     }
-
-    /// Two-accumulator dot product (mulpd + addpd — no FMA contraction).
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        unsafe {
-            let mut acc0 = _mm_setzero_pd();
-            let mut acc1 = _mm_setzero_pd();
-            let quads = a.len().min(b.len()) / 4;
-            let pa = a.as_ptr();
-            let pb = b.as_ptr();
-            for q in 0..quads {
-                let qa = pa.add(4 * q);
-                let qb = pb.add(4 * q);
-                acc0 = _mm_add_pd(acc0, _mm_mul_pd(_mm_loadu_pd(qa), _mm_loadu_pd(qb)));
-                acc1 =
-                    _mm_add_pd(acc1, _mm_mul_pd(_mm_loadu_pd(qa.add(2)), _mm_loadu_pd(qb.add(2))));
-            }
-            let pair = _mm_add_pd(acc0, acc1);
-            let mut total = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-            for (&x, &y) in a[4 * quads..].iter().zip(&b[4 * quads..]) {
-                total += x * y;
-            }
-            total
-        }
-    }
-
-    /// Two-accumulator `Σ (x − m)²`.
-    pub fn sum_sq_diff(xs: &[f64], m: f64) -> f64 {
-        unsafe {
-            let mv = _mm_set1_pd(m);
-            let mut acc0 = _mm_setzero_pd();
-            let mut acc1 = _mm_setzero_pd();
-            let quads = xs.len() / 4;
-            let ptr = xs.as_ptr();
-            for q in 0..quads {
-                let p = ptr.add(4 * q);
-                let d0 = _mm_sub_pd(_mm_loadu_pd(p), mv);
-                let d1 = _mm_sub_pd(_mm_loadu_pd(p.add(2)), mv);
-                acc0 = _mm_add_pd(acc0, _mm_mul_pd(d0, d0));
-                acc1 = _mm_add_pd(acc1, _mm_mul_pd(d1, d1));
-            }
-            let pair = _mm_add_pd(acc0, acc1);
-            let mut total = _mm_cvtsd_f64(pair) + _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-            for &x in &xs[4 * quads..] {
-                let d = x - m;
-                total += d * d;
-            }
-            total
-        }
-    }
-
-    /// Two complex magnitudes per iteration via `sqrtpd`.
-    pub fn magnitudes_into(spec: &[Complex64], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(spec.len(), 0.0);
-        unsafe {
-            let src = spec.as_ptr() as *const f64;
-            let dst = out.as_mut_ptr();
-            let pairs = spec.len() / 2;
-            for p in 0..pairs {
-                let c0 = _mm_loadu_pd(src.add(4 * p)); // [re0, im0]
-                let c1 = _mm_loadu_pd(src.add(4 * p + 2)); // [re1, im1]
-                let sq0 = _mm_mul_pd(c0, c0);
-                let sq1 = _mm_mul_pd(c1, c1);
-                let re2 = _mm_unpacklo_pd(sq0, sq1); // [re0², re1²]
-                let im2 = _mm_unpackhi_pd(sq0, sq1); // [im0², im1²]
-                let mag = _mm_sqrt_pd(_mm_add_pd(re2, im2));
-                _mm_storeu_pd(dst.add(2 * p), mag);
-            }
-            if spec.len() % 2 == 1 {
-                let c = spec[spec.len() - 1];
-                out[spec.len() - 1] = (c.re * c.re + c.im * c.im).sqrt();
-            }
-        }
-    }
-
-    /// Vectorized `out[i] = src[i] − m`.
-    pub fn subtract_scalar_into(src: &[f64], m: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(src.len(), 0.0);
-        unsafe {
-            let mv = _mm_set1_pd(m);
-            let sp = src.as_ptr();
-            let dp = out.as_mut_ptr();
-            let pairs = src.len() / 2;
-            for p in 0..pairs {
-                _mm_storeu_pd(dp.add(2 * p), _mm_sub_pd(_mm_loadu_pd(sp.add(2 * p)), mv));
-            }
-            if src.len() % 2 == 1 {
-                out[src.len() - 1] = src[src.len() - 1] - m;
-            }
-        }
-    }
-
-    /// Vectorized `xs[i] /= d`.
-    pub fn divide_in_place(xs: &mut [f64], d: f64) {
-        unsafe {
-            let dv = _mm_set1_pd(d);
-            let p = xs.as_mut_ptr();
-            let pairs = xs.len() / 2;
-            for q in 0..pairs {
-                _mm_storeu_pd(p.add(2 * q), _mm_div_pd(_mm_loadu_pd(p.add(2 * q)), dv));
-            }
-            if xs.len() % 2 == 1 {
-                let last = xs.len() - 1;
-                xs[last] /= d;
-            }
-        }
-    }
-
-    /// Butterfly stage: one complex element is exactly one `__m128d`, so
-    /// `even ± odd` are plain `addpd`/`subpd`.
-    pub fn butterfly_stage(buf: &mut [Complex64], half: usize, twiddles: &[Complex64]) {
-        unsafe {
-            let n = buf.len();
-            let p = buf.as_mut_ptr() as *mut f64;
-            let tw = twiddles.as_ptr() as *const f64;
-            let sign = sign_lo();
-            let mut start = 0;
-            while start < n {
-                for j in 0..half {
-                    let k = start + j;
-                    let w = _mm_loadu_pd(tw.add(2 * j));
-                    let even = _mm_loadu_pd(p.add(2 * k));
-                    let odd_raw = _mm_loadu_pd(p.add(2 * (k + half)));
-                    let odd = cmul(odd_raw, w, sign);
-                    _mm_storeu_pd(p.add(2 * k), _mm_add_pd(even, odd));
-                    _mm_storeu_pd(p.add(2 * (k + half)), _mm_sub_pd(even, odd));
-                }
-                start += half * 2;
-            }
-        }
-    }
-
-    /// Pointwise `out[i] = a[i] · b[i]`.
-    pub fn cmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-        unsafe {
-            let pa = a.as_ptr() as *const f64;
-            let pb = b.as_ptr() as *const f64;
-            let po = out.as_mut_ptr() as *mut f64;
-            let sign = sign_lo();
-            for k in 0..a.len().min(b.len()).min(out.len()) {
-                let x = _mm_loadu_pd(pa.add(2 * k));
-                let y = _mm_loadu_pd(pb.add(2 * k));
-                _mm_storeu_pd(po.add(2 * k), cmul(x, y, sign));
-            }
-        }
-    }
-
-    /// Pointwise `a[i] *= b[i]`.
-    pub fn cmul_in_place(a: &mut [Complex64], b: &[Complex64]) {
-        unsafe {
-            let pa = a.as_mut_ptr() as *mut f64;
-            let pb = b.as_ptr() as *const f64;
-            let sign = sign_lo();
-            for k in 0..a.len().min(b.len()) {
-                let x = _mm_loadu_pd(pa.add(2 * k));
-                let y = _mm_loadu_pd(pb.add(2 * k));
-                _mm_storeu_pd(pa.add(2 * k), cmul(x, y, sign));
-            }
-        }
-    }
-
-    /// Conjugate in place (sign flip of the imaginary lane).
-    pub fn conj_in_place(buf: &mut [Complex64]) {
-        unsafe {
-            let p = buf.as_mut_ptr() as *mut f64;
-            let sign = sign_hi();
-            for k in 0..buf.len() {
-                _mm_storeu_pd(p.add(2 * k), _mm_xor_pd(_mm_loadu_pd(p.add(2 * k)), sign));
-            }
-        }
-    }
-
-    /// `buf[i] = conj(buf[i]) · k`: sign flip then `mulpd` — the exact ops
-    /// of `c.conj().scale(k)` (`re·k`, `(−im)·k`).
-    pub fn conj_scale_in_place(buf: &mut [Complex64], k: f64) {
-        unsafe {
-            let p = buf.as_mut_ptr() as *mut f64;
-            let sign = sign_hi();
-            let kv = _mm_set1_pd(k);
-            for i in 0..buf.len() {
-                let t = _mm_xor_pd(_mm_loadu_pd(p.add(2 * i)), sign);
-                _mm_storeu_pd(p.add(2 * i), _mm_mul_pd(t, kv));
-            }
-        }
-    }
-
-    /// Linear grid evaluation: monotone segment scan + two queries per
-    /// `__m128d` within each segment run (per-lane ops identical to the
-    /// scalar formula, so bit-identity holds).
-    pub fn lerp_grid_into(
-        points: &[(f64, f64)],
-        t0: f64,
-        dt: f64,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
-            super::scalar::lerp_grid_into(points, t0, dt, count, out);
-            return;
-        }
-        out.clear();
-        out.resize(count, 0.0);
-        let o = out.as_mut_slice();
-        let n = points.len();
-        let (t_first, y_first) = points[0];
-        let (t_last, y_last) = points[n - 1];
-        let mut idx = 1usize;
-        let mut k = 0usize;
-        while k < count {
-            let x = t0 + dt * k as f64;
-            if x <= t_first {
-                o[k] = y_first;
-                k += 1;
-                continue;
-            }
-            if x >= t_last {
-                // The grid is nondecreasing: every remaining query clamps.
-                for slot in &mut o[k..] {
-                    *slot = y_last;
-                }
-                break;
-            }
-            while points[idx].0 <= x {
-                idx += 1;
-            }
-            let (x0, y0) = points[idx - 1];
-            let (x1, y1) = points[idx];
-            // Extent of the run of queries inside [x0, x1).
-            let mut k_end = k + 1;
-            while k_end < count && t0 + dt * (k_end as f64) < x1 {
-                k_end += 1;
-            }
-            // Broadcasting the segment constants only pays off on longer
-            // query runs; short runs (dense points vs. the grid) take the
-            // scalar expression directly — bit-identical either way.
-            if k_end - k >= 4 {
-                unsafe {
-                    let x0v = _mm_set1_pd(x0);
-                    let dxv = _mm_set1_pd(x1 - x0);
-                    let y0v = _mm_set1_pd(y0);
-                    let dyv = _mm_set1_pd(y1 - y0);
-                    let mut j = k;
-                    while j + 2 <= k_end {
-                        let xa = t0 + dt * j as f64;
-                        let xb = t0 + dt * (j + 1) as f64;
-                        let xv = _mm_set_pd(xb, xa);
-                        let wv = _mm_div_pd(_mm_sub_pd(xv, x0v), dxv);
-                        let yv = _mm_add_pd(y0v, _mm_mul_pd(wv, dyv));
-                        _mm_storeu_pd(o.as_mut_ptr().add(j), yv);
-                        j += 2;
-                    }
-                    while j < k_end {
-                        let xj = t0 + dt * j as f64;
-                        let w = (xj - x0) / (x1 - x0);
-                        o[j] = y0 + w * (y1 - y0);
-                        j += 1;
-                    }
-                }
-            } else {
-                let mut j = k;
-                while j < k_end {
-                    let xj = t0 + dt * j as f64;
-                    let w = (xj - x0) / (x1 - x0);
-                    o[j] = y0 + w * (y1 - y0);
-                    j += 1;
-                }
-            }
-            k = k_end;
-        }
-    }
-
-    /// Spline grid evaluation: monotone segment scan + two queries per
-    /// `__m128d`, with the exact `CubicSpline::eval` expression tree.
-    pub fn spline_grid_into(
-        points: &[(f64, f64)],
-        m2: &[f64],
-        t0: f64,
-        dt: f64,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        let n = points.len();
-        if n == 1 || dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
-            super::scalar::spline_grid_into(points, m2, t0, dt, count, out);
-            return;
-        }
-        out.clear();
-        out.resize(count, 0.0);
-        let o = out.as_mut_slice();
-        let (t_first, y_first) = points[0];
-        let (t_last, y_last) = points[n - 1];
-        let mut idx = 1usize;
-        let mut k = 0usize;
-        while k < count {
-            let x = t0 + dt * k as f64;
-            if x <= t_first {
-                o[k] = y_first;
-                k += 1;
-                continue;
-            }
-            if x >= t_last {
-                for slot in &mut o[k..] {
-                    *slot = y_last;
-                }
-                break;
-            }
-            while points[idx].0 <= x {
-                idx += 1;
-            }
-            let (x0, y0) = points[idx - 1];
-            let (x1, y1) = points[idx];
-            let (m0, m1) = (m2[idx - 1], m2[idx]);
-            let h = x1 - x0;
-            let mut k_end = k + 1;
-            while k_end < count && t0 + dt * (k_end as f64) < x1 {
-                k_end += 1;
-            }
-            // Eight broadcasts per segment only pay off on longer query
-            // runs; short runs take the scalar expression directly —
-            // bit-identical either way.
-            if k_end - k >= 4 {
-                unsafe {
-                    let x0v = _mm_set1_pd(x0);
-                    let x1v = _mm_set1_pd(x1);
-                    let y0v = _mm_set1_pd(y0);
-                    let y1v = _mm_set1_pd(y1);
-                    let m0v = _mm_set1_pd(m0);
-                    let m1v = _mm_set1_pd(m1);
-                    let hv = _mm_set1_pd(h);
-                    let sixv = _mm_set1_pd(6.0);
-                    let mut j = k;
-                    while j + 2 <= k_end {
-                        let xa = t0 + dt * j as f64;
-                        let xb = t0 + dt * (j + 1) as f64;
-                        let xv = _mm_set_pd(xb, xa);
-                        let av = _mm_div_pd(_mm_sub_pd(x1v, xv), hv);
-                        let bv = _mm_div_pd(_mm_sub_pd(xv, x0v), hv);
-                        // a·y0 + b·y1 + ((a³−a)·m0 + (b³−b)·m1)·h·h/6 with the
-                        // scalar expression's exact association.
-                        let a3 = _mm_mul_pd(_mm_mul_pd(av, av), av);
-                        let b3 = _mm_mul_pd(_mm_mul_pd(bv, bv), bv);
-                        let inner = _mm_add_pd(
-                            _mm_mul_pd(_mm_sub_pd(a3, av), m0v),
-                            _mm_mul_pd(_mm_sub_pd(b3, bv), m1v),
-                        );
-                        let tail = _mm_div_pd(_mm_mul_pd(_mm_mul_pd(inner, hv), hv), sixv);
-                        let head = _mm_add_pd(_mm_mul_pd(av, y0v), _mm_mul_pd(bv, y1v));
-                        _mm_storeu_pd(o.as_mut_ptr().add(j), _mm_add_pd(head, tail));
-                        j += 2;
-                    }
-                    while j < k_end {
-                        let xj = t0 + dt * j as f64;
-                        let a = (x1 - xj) / h;
-                        let b = (xj - x0) / h;
-                        o[j] = a * y0
-                            + b * y1
-                            + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0;
-                        j += 1;
-                    }
-                }
-            } else {
-                let mut j = k;
-                while j < k_end {
-                    let xj = t0 + dt * j as f64;
-                    let a = (x1 - xj) / h;
-                    let b = (xj - x0) / h;
-                    o[j] = a * y0
-                        + b * y1
-                        + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0;
-                    j += 1;
-                }
-            }
-            k = k_end;
-        }
-    }
-
-    /// Circular moving average: shared sequential rolling sums, vectorized
-    /// division pass.
-    pub fn circular_moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
-        let w = super::cma_rolling_sums(signal, window, out);
-        divide_in_place(out, w);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// aarch64: NEON (mandatory on AArch64 — no feature detection needed).
-// ---------------------------------------------------------------------------
-
-/// NEON implementations (the `Simd` dispatch target on aarch64).
-/// Bit-identical to [`scalar`] on finite inputs.
-#[cfg(target_arch = "aarch64")]
-#[doc(hidden)]
-pub mod simd {
-    use crate::complex::Complex64;
-    use std::arch::aarch64::*;
-
-    /// Instruction-path name for benchmark environment capture.
-    pub const PATH_NAME: &str = "neon";
-
-    /// Sign mask negating lane 0 only (via `eor`).
-    #[inline(always)]
-    unsafe fn sign_lo() -> uint64x2_t {
-        vcombine_u64(vcreate_u64(0x8000_0000_0000_0000), vcreate_u64(0))
-    }
-
-    /// Sign mask negating lane 1 only (the imaginary part).
-    #[inline(always)]
-    unsafe fn sign_hi() -> uint64x2_t {
-        vcombine_u64(vcreate_u64(0), vcreate_u64(0x8000_0000_0000_0000))
-    }
-
-    /// Complex product with the exact `Complex64: Mul` rounding — the NEON
-    /// mirror of the SSE2 kernel: `v1 + (±)v2` with the lane-0 sign flip
-    /// done by `eor` (exact, since IEEE `x − y ≡ x + (−y)`).
-    #[inline(always)]
-    unsafe fn cmul(a: float64x2_t, b: float64x2_t, sign: uint64x2_t) -> float64x2_t {
-        let are = vdupq_laneq_f64::<0>(a);
-        let aim = vdupq_laneq_f64::<1>(a);
-        let bsw = vextq_f64::<1>(b, b); // [b.im, b.re]
-        let v1 = vmulq_f64(are, b);
-        let v2 = vmulq_f64(aim, bsw);
-        let v2f = vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(v2), sign));
-        vaddq_f64(v1, v2f)
-    }
-
-    /// Two-accumulator sum; combines as `(l0+l2)+(l1+l3)`.
-    pub fn sum(xs: &[f64]) -> f64 {
-        unsafe {
-            let mut acc0 = vdupq_n_f64(0.0);
-            let mut acc1 = vdupq_n_f64(0.0);
-            let quads = xs.len() / 4;
-            let ptr = xs.as_ptr();
-            for q in 0..quads {
-                let p = ptr.add(4 * q);
-                acc0 = vaddq_f64(acc0, vld1q_f64(p));
-                acc1 = vaddq_f64(acc1, vld1q_f64(p.add(2)));
-            }
-            let pair = vaddq_f64(acc0, acc1);
-            let mut total = vgetq_lane_f64::<0>(pair) + vgetq_lane_f64::<1>(pair);
-            for &x in &xs[4 * quads..] {
-                total += x;
-            }
-            total
-        }
-    }
-
-    /// Two-accumulator dot product (separate multiply and add; no FMA).
-    pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-        unsafe {
-            let mut acc0 = vdupq_n_f64(0.0);
-            let mut acc1 = vdupq_n_f64(0.0);
-            let quads = a.len().min(b.len()) / 4;
-            let pa = a.as_ptr();
-            let pb = b.as_ptr();
-            for q in 0..quads {
-                let qa = pa.add(4 * q);
-                let qb = pb.add(4 * q);
-                acc0 = vaddq_f64(acc0, vmulq_f64(vld1q_f64(qa), vld1q_f64(qb)));
-                acc1 = vaddq_f64(acc1, vmulq_f64(vld1q_f64(qa.add(2)), vld1q_f64(qb.add(2))));
-            }
-            let pair = vaddq_f64(acc0, acc1);
-            let mut total = vgetq_lane_f64::<0>(pair) + vgetq_lane_f64::<1>(pair);
-            for (&x, &y) in a[4 * quads..].iter().zip(&b[4 * quads..]) {
-                total += x * y;
-            }
-            total
-        }
-    }
-
-    /// Two-accumulator `Σ (x − m)²`.
-    pub fn sum_sq_diff(xs: &[f64], m: f64) -> f64 {
-        unsafe {
-            let mv = vdupq_n_f64(m);
-            let mut acc0 = vdupq_n_f64(0.0);
-            let mut acc1 = vdupq_n_f64(0.0);
-            let quads = xs.len() / 4;
-            let ptr = xs.as_ptr();
-            for q in 0..quads {
-                let p = ptr.add(4 * q);
-                let d0 = vsubq_f64(vld1q_f64(p), mv);
-                let d1 = vsubq_f64(vld1q_f64(p.add(2)), mv);
-                acc0 = vaddq_f64(acc0, vmulq_f64(d0, d0));
-                acc1 = vaddq_f64(acc1, vmulq_f64(d1, d1));
-            }
-            let pair = vaddq_f64(acc0, acc1);
-            let mut total = vgetq_lane_f64::<0>(pair) + vgetq_lane_f64::<1>(pair);
-            for &x in &xs[4 * quads..] {
-                let d = x - m;
-                total += d * d;
-            }
-            total
-        }
-    }
-
-    /// Two complex magnitudes per iteration via `vsqrtq_f64`.
-    pub fn magnitudes_into(spec: &[Complex64], out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(spec.len(), 0.0);
-        unsafe {
-            let src = spec.as_ptr() as *const f64;
-            let dst = out.as_mut_ptr();
-            let pairs = spec.len() / 2;
-            for p in 0..pairs {
-                let c0 = vld1q_f64(src.add(4 * p)); // [re0, im0]
-                let c1 = vld1q_f64(src.add(4 * p + 2)); // [re1, im1]
-                let sq0 = vmulq_f64(c0, c0);
-                let sq1 = vmulq_f64(c1, c1);
-                let re2 = vzip1q_f64(sq0, sq1); // [re0², re1²]
-                let im2 = vzip2q_f64(sq0, sq1); // [im0², im1²]
-                let mag = vsqrtq_f64(vaddq_f64(re2, im2));
-                vst1q_f64(dst.add(2 * p), mag);
-            }
-            if spec.len() % 2 == 1 {
-                let c = spec[spec.len() - 1];
-                out[spec.len() - 1] = (c.re * c.re + c.im * c.im).sqrt();
-            }
-        }
-    }
-
-    /// Vectorized `out[i] = src[i] − m`.
-    pub fn subtract_scalar_into(src: &[f64], m: f64, out: &mut Vec<f64>) {
-        out.clear();
-        out.resize(src.len(), 0.0);
-        unsafe {
-            let mv = vdupq_n_f64(m);
-            let sp = src.as_ptr();
-            let dp = out.as_mut_ptr();
-            let pairs = src.len() / 2;
-            for p in 0..pairs {
-                vst1q_f64(dp.add(2 * p), vsubq_f64(vld1q_f64(sp.add(2 * p)), mv));
-            }
-            if src.len() % 2 == 1 {
-                out[src.len() - 1] = src[src.len() - 1] - m;
-            }
-        }
-    }
-
-    /// Vectorized `xs[i] /= d`.
-    pub fn divide_in_place(xs: &mut [f64], d: f64) {
-        unsafe {
-            let dv = vdupq_n_f64(d);
-            let p = xs.as_mut_ptr();
-            let pairs = xs.len() / 2;
-            for q in 0..pairs {
-                vst1q_f64(p.add(2 * q), vdivq_f64(vld1q_f64(p.add(2 * q)), dv));
-            }
-            if xs.len() % 2 == 1 {
-                let last = xs.len() - 1;
-                xs[last] /= d;
-            }
-        }
-    }
-
-    /// Butterfly stage: one complex element per `float64x2_t`.
-    pub fn butterfly_stage(buf: &mut [Complex64], half: usize, twiddles: &[Complex64]) {
-        unsafe {
-            let n = buf.len();
-            let p = buf.as_mut_ptr() as *mut f64;
-            let tw = twiddles.as_ptr() as *const f64;
-            let sign = sign_lo();
-            let mut start = 0;
-            while start < n {
-                for j in 0..half {
-                    let k = start + j;
-                    let w = vld1q_f64(tw.add(2 * j));
-                    let even = vld1q_f64(p.add(2 * k));
-                    let odd_raw = vld1q_f64(p.add(2 * (k + half)));
-                    let odd = cmul(odd_raw, w, sign);
-                    vst1q_f64(p.add(2 * k), vaddq_f64(even, odd));
-                    vst1q_f64(p.add(2 * (k + half)), vsubq_f64(even, odd));
-                }
-                start += half * 2;
-            }
-        }
-    }
-
-    /// Pointwise `out[i] = a[i] · b[i]`.
-    pub fn cmul_into(a: &[Complex64], b: &[Complex64], out: &mut [Complex64]) {
-        unsafe {
-            let pa = a.as_ptr() as *const f64;
-            let pb = b.as_ptr() as *const f64;
-            let po = out.as_mut_ptr() as *mut f64;
-            let sign = sign_lo();
-            for k in 0..a.len().min(b.len()).min(out.len()) {
-                let x = vld1q_f64(pa.add(2 * k));
-                let y = vld1q_f64(pb.add(2 * k));
-                vst1q_f64(po.add(2 * k), cmul(x, y, sign));
-            }
-        }
-    }
-
-    /// Pointwise `a[i] *= b[i]`.
-    pub fn cmul_in_place(a: &mut [Complex64], b: &[Complex64]) {
-        unsafe {
-            let pa = a.as_mut_ptr() as *mut f64;
-            let pb = b.as_ptr() as *const f64;
-            let sign = sign_lo();
-            for k in 0..a.len().min(b.len()) {
-                let x = vld1q_f64(pa.add(2 * k));
-                let y = vld1q_f64(pb.add(2 * k));
-                vst1q_f64(pa.add(2 * k), cmul(x, y, sign));
-            }
-        }
-    }
-
-    /// Conjugate in place (sign flip of the imaginary lane).
-    pub fn conj_in_place(buf: &mut [Complex64]) {
-        unsafe {
-            let p = buf.as_mut_ptr() as *mut f64;
-            let sign = sign_hi();
-            for k in 0..buf.len() {
-                let v = vld1q_f64(p.add(2 * k));
-                let f = vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(v), sign));
-                vst1q_f64(p.add(2 * k), f);
-            }
-        }
-    }
-
-    /// `buf[i] = conj(buf[i]) · k`.
-    pub fn conj_scale_in_place(buf: &mut [Complex64], k: f64) {
-        unsafe {
-            let p = buf.as_mut_ptr() as *mut f64;
-            let sign = sign_hi();
-            let kv = vdupq_n_f64(k);
-            for i in 0..buf.len() {
-                let v = vld1q_f64(p.add(2 * i));
-                let t = vreinterpretq_f64_u64(veorq_u64(vreinterpretq_u64_f64(v), sign));
-                vst1q_f64(p.add(2 * i), vmulq_f64(t, kv));
-            }
-        }
-    }
-
-    /// Linear grid evaluation: monotone segment scan + two queries per
-    /// register within each segment run.
-    pub fn lerp_grid_into(
-        points: &[(f64, f64)],
-        t0: f64,
-        dt: f64,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
-            super::scalar::lerp_grid_into(points, t0, dt, count, out);
-            return;
-        }
-        out.clear();
-        out.resize(count, 0.0);
-        let o = out.as_mut_slice();
-        let n = points.len();
-        let (t_first, y_first) = points[0];
-        let (t_last, y_last) = points[n - 1];
-        let mut idx = 1usize;
-        let mut k = 0usize;
-        while k < count {
-            let x = t0 + dt * k as f64;
-            if x <= t_first {
-                o[k] = y_first;
-                k += 1;
-                continue;
-            }
-            if x >= t_last {
-                for slot in &mut o[k..] {
-                    *slot = y_last;
-                }
-                break;
-            }
-            while points[idx].0 <= x {
-                idx += 1;
-            }
-            let (x0, y0) = points[idx - 1];
-            let (x1, y1) = points[idx];
-            let mut k_end = k + 1;
-            while k_end < count && t0 + dt * (k_end as f64) < x1 {
-                k_end += 1;
-            }
-            // Broadcasting the segment constants only pays off on longer
-            // query runs; short runs take the scalar expression directly —
-            // bit-identical either way.
-            if k_end - k >= 4 {
-                unsafe {
-                    let x0v = vdupq_n_f64(x0);
-                    let dxv = vdupq_n_f64(x1 - x0);
-                    let y0v = vdupq_n_f64(y0);
-                    let dyv = vdupq_n_f64(y1 - y0);
-                    let mut j = k;
-                    while j + 2 <= k_end {
-                        let xa = t0 + dt * j as f64;
-                        let xb = t0 + dt * (j + 1) as f64;
-                        let xv = vsetq_lane_f64::<1>(xb, vdupq_n_f64(xa));
-                        let wv = vdivq_f64(vsubq_f64(xv, x0v), dxv);
-                        let yv = vaddq_f64(y0v, vmulq_f64(wv, dyv));
-                        vst1q_f64(o.as_mut_ptr().add(j), yv);
-                        j += 2;
-                    }
-                    while j < k_end {
-                        let xj = t0 + dt * j as f64;
-                        let w = (xj - x0) / (x1 - x0);
-                        o[j] = y0 + w * (y1 - y0);
-                        j += 1;
-                    }
-                }
-            } else {
-                let mut j = k;
-                while j < k_end {
-                    let xj = t0 + dt * j as f64;
-                    let w = (xj - x0) / (x1 - x0);
-                    o[j] = y0 + w * (y1 - y0);
-                    j += 1;
-                }
-            }
-            k = k_end;
-        }
-    }
-
-    /// Spline grid evaluation: monotone segment scan + two queries per
-    /// register, with the exact `CubicSpline::eval` expression tree.
-    pub fn spline_grid_into(
-        points: &[(f64, f64)],
-        m2: &[f64],
-        t0: f64,
-        dt: f64,
-        count: usize,
-        out: &mut Vec<f64>,
-    ) {
-        let n = points.len();
-        if n == 1 || dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
-            super::scalar::spline_grid_into(points, m2, t0, dt, count, out);
-            return;
-        }
-        out.clear();
-        out.resize(count, 0.0);
-        let o = out.as_mut_slice();
-        let (t_first, y_first) = points[0];
-        let (t_last, y_last) = points[n - 1];
-        let mut idx = 1usize;
-        let mut k = 0usize;
-        while k < count {
-            let x = t0 + dt * k as f64;
-            if x <= t_first {
-                o[k] = y_first;
-                k += 1;
-                continue;
-            }
-            if x >= t_last {
-                for slot in &mut o[k..] {
-                    *slot = y_last;
-                }
-                break;
-            }
-            while points[idx].0 <= x {
-                idx += 1;
-            }
-            let (x0, y0) = points[idx - 1];
-            let (x1, y1) = points[idx];
-            let (m0, m1) = (m2[idx - 1], m2[idx]);
-            let h = x1 - x0;
-            let mut k_end = k + 1;
-            while k_end < count && t0 + dt * (k_end as f64) < x1 {
-                k_end += 1;
-            }
-            // Eight broadcasts per segment only pay off on longer query
-            // runs; short runs take the scalar expression directly —
-            // bit-identical either way.
-            if k_end - k >= 4 {
-                unsafe {
-                    let x0v = vdupq_n_f64(x0);
-                    let x1v = vdupq_n_f64(x1);
-                    let y0v = vdupq_n_f64(y0);
-                    let y1v = vdupq_n_f64(y1);
-                    let m0v = vdupq_n_f64(m0);
-                    let m1v = vdupq_n_f64(m1);
-                    let hv = vdupq_n_f64(h);
-                    let sixv = vdupq_n_f64(6.0);
-                    let mut j = k;
-                    while j + 2 <= k_end {
-                        let xa = t0 + dt * j as f64;
-                        let xb = t0 + dt * (j + 1) as f64;
-                        let xv = vsetq_lane_f64::<1>(xb, vdupq_n_f64(xa));
-                        let av = vdivq_f64(vsubq_f64(x1v, xv), hv);
-                        let bv = vdivq_f64(vsubq_f64(xv, x0v), hv);
-                        let a3 = vmulq_f64(vmulq_f64(av, av), av);
-                        let b3 = vmulq_f64(vmulq_f64(bv, bv), bv);
-                        let inner = vaddq_f64(
-                            vmulq_f64(vsubq_f64(a3, av), m0v),
-                            vmulq_f64(vsubq_f64(b3, bv), m1v),
-                        );
-                        let tail = vdivq_f64(vmulq_f64(vmulq_f64(inner, hv), hv), sixv);
-                        let head = vaddq_f64(vmulq_f64(av, y0v), vmulq_f64(bv, y1v));
-                        vst1q_f64(o.as_mut_ptr().add(j), vaddq_f64(head, tail));
-                        j += 2;
-                    }
-                    while j < k_end {
-                        let xj = t0 + dt * j as f64;
-                        let a = (x1 - xj) / h;
-                        let b = (xj - x0) / h;
-                        o[j] = a * y0
-                            + b * y1
-                            + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0;
-                        j += 1;
-                    }
-                }
-            } else {
-                let mut j = k;
-                while j < k_end {
-                    let xj = t0 + dt * j as f64;
-                    let a = (x1 - xj) / h;
-                    let b = (xj - x0) / h;
-                    o[j] = a * y0
-                        + b * y1
-                        + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0;
-                    j += 1;
-                }
-            }
-            k = k_end;
-        }
-    }
-
-    /// Circular moving average: shared sequential rolling sums, vectorized
-    /// division pass.
-    pub fn circular_moving_average_into(signal: &[f64], window: usize, out: &mut Vec<f64>) {
-        let w = super::cma_rolling_sums(signal, window, out);
-        divide_in_place(out, w);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Other architectures: the Simd dispatch reuses the scalar lanes.
-// ---------------------------------------------------------------------------
-
-/// Fallback `Simd` target on architectures without an explicit path: the
-/// scalar 4-lane kernels (still bit-identical — they *are* the definition).
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-#[doc(hidden)]
-pub mod simd {
-    /// Instruction-path name for benchmark environment capture.
-    pub const PATH_NAME: &str = "portable";
-
-    pub use super::scalar::*;
 }
 
 #[cfg(test)]
@@ -1473,51 +357,15 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_force_round_trips() {
-        let before = dispatch();
-        force(KernelDispatch::Scalar);
-        assert_eq!(dispatch(), KernelDispatch::Scalar);
-        assert_eq!(active_path_name(), "scalar");
-        force(KernelDispatch::Simd);
-        assert_eq!(dispatch(), KernelDispatch::Simd);
-        assert_ne!(active_path_name(), "scalar");
-        force(before);
-    }
-
-    #[test]
-    fn sum_matches_both_paths_and_is_exact_on_integers() {
+    fn sum_is_exact_on_integers() {
         let xs: Vec<f64> = (0..103).map(|k| (k % 17) as f64 - 8.0).collect();
-        let a = scalar::sum(&xs);
-        let b = simd::sum(&xs);
-        assert!(f64_bits_eq(a, b));
         // Integer-valued doubles sum exactly regardless of association.
         let expect: f64 = xs.iter().sum();
-        assert_eq!(a, expect);
+        assert_eq!(sum(&xs), expect);
     }
 
     #[test]
-    fn dot_matches_both_paths() {
-        let a: Vec<f64> = (0..57).map(|k| (k as f64).sin() * 20.0).collect();
-        let b: Vec<f64> = (0..57).map(|k| (k as f64 * 0.3).cos() * 5.0).collect();
-        assert!(f64_bits_eq(scalar::dot(&a, &b), simd::dot(&a, &b)));
-    }
-
-    #[test]
-    fn magnitudes_match_both_paths() {
-        let spec: Vec<Complex64> = (0..31)
-            .map(|k| Complex64::new((k as f64).sin() * 9.0, (k as f64).cos() * 4.0))
-            .collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        scalar::magnitudes_into(&spec, &mut a);
-        simd::magnitudes_into(&spec, &mut b);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert!(f64_bits_eq(*x, *y));
-        }
-    }
-
-    #[test]
-    fn butterfly_matches_both_paths() {
+    fn butterfly_matches_scalar_reference() {
         for n in [2usize, 4, 8, 32] {
             let base: Vec<Complex64> = (0..n)
                 .map(|k| Complex64::new((k as f64 * 0.7).sin(), (k as f64 * 1.1).cos()))
@@ -1537,25 +385,11 @@ mod tests {
                 let mut a = base.clone();
                 let mut b = base.clone();
                 scalar::butterfly_stage(&mut a, half, &tw);
-                simd::butterfly_stage(&mut b, half, &tw);
+                butterfly_stage(&mut b, half, &tw);
                 for (x, y) in a.iter().zip(&b) {
                     assert!(f64_bits_eq(x.re, y.re) && f64_bits_eq(x.im, y.im));
                 }
                 half *= 2;
-            }
-        }
-    }
-
-    #[test]
-    fn cma_matches_legacy_bitwise() {
-        let xs: Vec<f64> = (0..97).map(|k| ((k * 31) % 17) as f64 - 8.0).collect();
-        let mut out = Vec::new();
-        for w in [1usize, 2, 40, 97, 200] {
-            circular_moving_average_into(&xs, w, &mut out);
-            let legacy = crate::convolution::circular_moving_average(&xs, w);
-            assert_eq!(out.len(), legacy.len());
-            for (a, b) in out.iter().zip(&legacy) {
-                assert!(f64_bits_eq(*a, *b));
             }
         }
     }
@@ -1566,33 +400,11 @@ mod tests {
             (0..25).map(|k| (k as f64 * 7.3 + 2.0, ((k * 13) % 29) as f64 - 10.0)).collect();
         let (t0, dt, count) = (-10.0, 0.9, 250);
         let mut out = Vec::new();
-        for path in [KernelDispatch::Scalar, KernelDispatch::Simd] {
-            let before = dispatch();
-            force(path);
-            lerp_grid_into(&points, t0, dt, count, &mut out);
-            force(before);
-            assert_eq!(out.len(), count);
-            for (k, v) in out.iter().enumerate() {
-                let legacy = crate::interpolate::linear_eval(&points, t0 + dt * k as f64);
-                assert!(f64_bits_eq(*v, legacy), "path {path:?} k={k}");
-            }
+        lerp_grid_into(&points, t0, dt, count, &mut out);
+        assert_eq!(out.len(), count);
+        for (k, v) in out.iter().enumerate() {
+            let legacy = crate::interpolate::linear_eval(&points, t0 + dt * k as f64);
+            assert!(f64_bits_eq(*v, legacy), "k={k}");
         }
-    }
-
-    #[test]
-    fn invalid_env_value_panics() {
-        // Exercised via the documented contract on `init_from_env` by
-        // calling through a child-free shim: force() bypasses env, so
-        // directly assert the match arms here.
-        let err = std::panic::catch_unwind(|| {
-            std::env::set_var("TAXILIGHT_KERNELS_TEST_PROBE", "neither");
-            match std::env::var("TAXILIGHT_KERNELS_TEST_PROBE") {
-                Ok(v) if v.eq_ignore_ascii_case("scalar") => 1,
-                Ok(v) if v.eq_ignore_ascii_case("simd") => 2,
-                Ok(v) => panic!("TAXILIGHT_KERNELS must be \"scalar\" or \"simd\", got {v:?}"),
-                Err(_) => 2,
-            }
-        });
-        assert!(err.is_err());
     }
 }

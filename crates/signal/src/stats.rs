@@ -1,9 +1,9 @@
 //! Descriptive statistics shared across the workspace.
 //!
-//! The reductions (mean, variance, weighted mean) run through the
-//! [`crate::kernels`] 4-lane sums — they reassociate relative to a plain
-//! sequential `iter().sum()` and are covered by the accuracy-gate
-//! discipline, not bit-identity to the pre-kernel code.
+//! The reductions (mean, variance) run through the [`crate::kernels`]
+//! 4-lane sums — they reassociate relative to a plain sequential
+//! `iter().sum()` and are covered by the accuracy-gate discipline, not
+//! bit-identity to the pre-kernel code.
 
 /// Arithmetic mean; `None` for an empty slice.
 pub fn mean(xs: &[f64]) -> Option<f64> {
@@ -32,19 +32,6 @@ pub fn sample_variance(xs: &[f64]) -> Option<f64> {
 /// Population standard deviation.
 pub fn stddev(xs: &[f64]) -> Option<f64> {
     variance(xs).map(f64::sqrt)
-}
-
-/// Weighted mean; `None` when weights sum to zero or inputs are empty or of
-/// mismatched length.
-pub fn weighted_mean(xs: &[f64], ws: &[f64]) -> Option<f64> {
-    if xs.is_empty() || xs.len() != ws.len() {
-        return None;
-    }
-    let wsum: f64 = crate::kernels::sum(ws);
-    if wsum == 0.0 {
-        return None;
-    }
-    Some(crate::kernels::dot(xs, ws) / wsum)
 }
 
 /// Median (average of central pair for even lengths); `None` when empty.
@@ -180,7 +167,6 @@ mod tests {
         assert_eq!(min(&[]), None);
         assert_eq!(max(&[]), None);
         assert_eq!(fit_normal(&[]), None);
-        assert_eq!(weighted_mean(&[], &[]), None);
         assert_eq!(sample_variance(&[1.0]), None);
     }
 
@@ -213,14 +199,6 @@ mod tests {
     #[should_panic(expected = "percentile must be in [0,100]")]
     fn percentile_rejects_out_of_range() {
         percentile(&[1.0], 101.0);
-    }
-
-    #[test]
-    fn weighted_mean_weights_matter() {
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[1.0, 1.0]), Some(2.0));
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[3.0, 1.0]), Some(1.5));
-        assert_eq!(weighted_mean(&[1.0, 3.0], &[0.0, 0.0]), None);
-        assert_eq!(weighted_mean(&[1.0], &[1.0, 2.0]), None);
     }
 
     #[test]

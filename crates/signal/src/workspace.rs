@@ -75,7 +75,7 @@ impl SignalWorkspace {
         self.plans.reset_stats();
     }
 
-    /// Drains the nanoseconds accumulated inside dispatched kernel regions
+    /// Drains the nanoseconds accumulated inside signal-kernel regions
     /// (spectrum + resample grid evaluation) since the last call. The
     /// pipeline folds this into its `stage.kernel` timing so Chrome traces
     /// separate vectorized-kernel time from surrounding orchestration.
