@@ -19,7 +19,7 @@
 //!   gauge) advance by identical deltas on every intake variant.
 
 use std::io::Cursor;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 use proptest::prelude::*;
 use taxilight_core::engine::{Identifier, IdentifyRequest};
@@ -43,6 +43,18 @@ struct World {
     feed: Vec<TaxiRecord>,
     csv: String,
     at: Timestamp,
+}
+
+/// The metric-delta test reads process-global counters that every lap in
+/// this binary advances, and the harness runs tests on parallel threads.
+/// That test holds this lock for writing and every other test holds it
+/// for reading, so laps still overlap each other but never its
+/// measurement window.
+static METRICS: RwLock<()> = RwLock::new(());
+
+/// Shared hold on [`METRICS`] for a test that runs laps.
+fn laps_running() -> RwLockReadGuard<'static, ()> {
+    METRICS.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn world() -> &'static World {
@@ -165,6 +177,7 @@ fn assert_parts_identical(a: &PartitionedTraces, b: &PartitionedTraces, what: &s
 
 #[test]
 fn fixture_is_nontrivial() {
+    let _laps = laps_running();
     let (parts, stats) = in_memory();
     assert!(stats.partitioned > 1000, "fixture too sparse: {stats:?}");
     assert!(parts.lights_with_data().len() >= 2);
@@ -174,6 +187,7 @@ fn fixture_is_nontrivial() {
 
 #[test]
 fn preprocess_source_bit_identical_for_selected_chunks() {
+    let _laps = laps_running();
     let w = world();
     let (want_parts, want_stats) = in_memory();
     let want_outcome = outcome_bits(&want_parts);
@@ -187,6 +201,7 @@ fn preprocess_source_bit_identical_for_selected_chunks() {
 
 #[test]
 fn csv_chunked_decode_bit_identical_to_in_memory_decode() {
+    let _laps = laps_running();
     let w = world();
     // Reference: whole-text decode, then the in-memory pass. The decoder
     // assigns taxi ids in feed-first-seen order, so both sides must use
@@ -235,6 +250,7 @@ fn realtime_lap(grace: u32, chunk_records: Option<usize>) -> LapResult {
 /// own fixture).
 #[test]
 fn realtime_intake_variants_agree_across_grace_settings() {
+    let _laps = laps_running();
     for grace in [0u32, 45, 300] {
         let (push_report, push_scheds) = realtime_lap(grace, None);
         assert!(push_report.rounds >= 1, "no rounds at grace={grace}");
@@ -251,6 +267,7 @@ fn realtime_intake_variants_agree_across_grace_settings() {
 /// whichever intake variant runs — the registry view of equivalence.
 #[test]
 fn deterministic_metric_deltas_are_intake_invariant() {
+    let _exclusive = METRICS.write().unwrap_or_else(PoisonError::into_inner);
     use taxilight_obs::metrics::{self, MetricClass};
     let reg = metrics::global();
     let class = MetricClass::Deterministic;
@@ -309,6 +326,7 @@ proptest! {
     /// included, holds for every batch split.
     #[test]
     fn preprocess_source_bit_identical_for_any_chunk(chunk in 1usize..5_000) {
+        let _laps = laps_running();
         static WANT: OnceLock<(OutcomeBits, PreprocessStats)> = OnceLock::new();
         let (want_outcome, want_stats) = WANT.get_or_init(|| {
             let (parts, stats) = in_memory();
@@ -327,6 +345,7 @@ proptest! {
         chunk in 1usize..3_000,
         grace_sel in 0usize..3,
     ) {
+        let _laps = laps_running();
         let grace = [0u32, 45, 300][grace_sel];
         static WANT: OnceLock<std::sync::Mutex<std::collections::HashMap<u32, LapResult>>> =
             OnceLock::new();

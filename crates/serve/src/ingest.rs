@@ -16,11 +16,11 @@
 //! [`CsvError::Field`] with Table-I numbering) so consumers see one
 //! error surface regardless of the wire format.
 
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufReader, Read};
 
 use taxilight_obs::json::{self, Json};
 use taxilight_trace::csv::CsvError;
-use taxilight_trace::io::TraceFileError;
+use taxilight_trace::io::{LineReader, TraceFileError};
 use taxilight_trace::record::{BodyColor, Fleet, GpsCondition, PassengerState, TaxiRecord};
 use taxilight_trace::source::{CsvChunkReader, RecordBatch, RecordSource};
 use taxilight_trace::time::Timestamp;
@@ -50,13 +50,13 @@ impl FeedFormat {
 /// Streams ND-JSON records from any [`Read`], at most `chunk_records`
 /// per batch. Unknown plates are learned into the internal [`Fleet`] in
 /// feed order — the same rule as CSV decoding, so the record sequence is
-/// independent of batching.
+/// independent of batching. Lines are read by the same bounded
+/// [`LineReader`] as CSV files: a non-UTF-8 or overlong line is one bad
+/// line, never the end of the feed.
 pub struct NdJsonReader<R: Read> {
-    reader: BufReader<R>,
+    lines: LineReader<BufReader<R>>,
     fleet: Fleet,
     chunk_records: usize,
-    line: String,
-    line_no: usize,
     record_total: u64,
     bad_line_total: u64,
     done: bool,
@@ -67,11 +67,9 @@ impl<R: Read> NdJsonReader<R> {
     /// (`0` is treated as 1).
     pub fn new(reader: R, chunk_records: usize) -> Self {
         NdJsonReader {
-            reader: BufReader::new(reader),
+            lines: LineReader::new(BufReader::new(reader), decode_record_json),
             fleet: Fleet::new(),
             chunk_records: chunk_records.max(1),
-            line: String::new(),
-            line_no: 0,
             record_total: 0,
             bad_line_total: 0,
             done: false,
@@ -100,28 +98,18 @@ impl<R: Read> RecordSource for NdJsonReader<R> {
         if self.done {
             return Ok(false);
         }
-        for _ in 0..self.chunk_records {
-            self.line.clear();
-            if self.reader.read_line(&mut self.line).map_err(TraceFileError::Io)? == 0 {
-                self.done = true;
-                break;
-            }
-            let n = self.line_no;
-            self.line_no += 1;
-            if self.line.trim().is_empty() {
-                continue;
-            }
-            match decode_record_json(&self.line, &mut self.fleet) {
-                Ok(r) => {
-                    self.record_total += 1;
-                    batch.records.push(r);
+        while batch.records.len() + batch.bad_lines.len() < self.chunk_records {
+            match self.lines.next_line(&mut self.fleet)? {
+                None => {
+                    self.done = true;
+                    break;
                 }
-                Err(e) => {
-                    self.bad_line_total += 1;
-                    batch.bad_lines.push((n, e));
-                }
+                Some((_, Ok(r))) => batch.records.push(r),
+                Some((n, Err(e))) => batch.bad_lines.push((n, e)),
             }
         }
+        self.record_total += batch.records.len() as u64;
+        self.bad_line_total += batch.bad_lines.len() as u64;
         // Mirror CsvChunkReader: the batch that hit EOF still returns
         // `true`; the *next* call reports exhaustion.
         Ok(!(self.done && batch.records.is_empty() && batch.bad_lines.is_empty()))
@@ -144,37 +132,43 @@ pub fn decode_record_json(line: &str, fleet: &mut Fleet) -> Result<TaxiRecord, C
         obj.get(key).and_then(Json::as_f64).filter(|v| v.is_finite()).ok_or(CsvError::Field(n))
     };
 
+    // Integer fields take only what CSV's integer parse takes: an
+    // integral value in range. An `as` cast would read 1.9 as 1 and -1
+    // as 0.
+    let u32_field = |key: &str, n: u8| -> Result<u32, CsvError> {
+        let v = f64_field(key, n)?;
+        if v.fract() == 0.0 && (0.0..=f64::from(u32::MAX)).contains(&v) {
+            Ok(v as u32)
+        } else {
+            Err(CsvError::Field(n))
+        }
+    };
+
     let plate = str_field("plate", 1)?;
     let lon = f64_field("lon", 2)?;
     let lat = f64_field("lat", 3)?;
     let time = Timestamp::parse(str_field("time", 4)?).map_err(|_| CsvError::Field(4))?;
-    let device_id = f64_field("device", 5)? as u32;
+    let device_id = u32_field("device", 5)?;
     let speed_kmh = f64_field("speed_kmh", 6)?;
     let heading_deg = f64_field("heading_deg", 7)?;
-    let gps = (f64_field("gps", 8)? as i64)
-        .try_into()
+    let gps = u8::try_from(u32_field("gps", 8)?)
         .ok()
         .and_then(GpsCondition::from_wire)
         .ok_or(CsvError::Field(8))?;
-    let overspeed = match f64_field("overspeed", 9)? as i64 {
+    let overspeed = match u32_field("overspeed", 9)? {
         0 => false,
         1 => true,
         _ => return Err(CsvError::Field(9)),
     };
     let sim = str_field("sim", 10)?;
-    let passenger = (f64_field("passenger", 11)? as i64)
-        .try_into()
+    let passenger = u8::try_from(u32_field("passenger", 11)?)
         .ok()
         .and_then(PassengerState::from_wire)
         .ok_or(CsvError::Field(11))?;
     let color = BodyColor::from_str_loose(str_field("color", 12)?).ok_or(CsvError::Field(12))?;
 
-    let taxi = match fleet.find_by_plate(plate) {
-        Some(id) => id,
-        None => fleet.insert(plate, device_id, sim, color).expect("plate was checked absent"),
-    };
     Ok(TaxiRecord {
-        taxi,
+        taxi: fleet.intern(plate, device_id, sim, color),
         position: GeoPoint::new(lat, lon),
         time,
         speed_kmh,
@@ -363,6 +357,49 @@ mod tests {
         assert_eq!(bad[0].1, CsvError::FieldCount(0));
         assert_eq!(bad[1].0, 5);
         assert_eq!(src.bad_line_total(), 2);
+    }
+
+    #[test]
+    fn ndjson_rejects_what_csv_rejects_in_integer_fields() {
+        let good = "{\"plate\":\"YB-1\",\"lon\":114.125456,\"lat\":22.547123,\
+                    \"time\":\"2014-12-05 15:22:00\",\"device\":100000,\"speed_kmh\":36.5,\
+                    \"heading_deg\":270.0,\"gps\":1,\"overspeed\":0,\"sim\":\"138\",\
+                    \"passenger\":1,\"color\":\"yellow\"}";
+        let rec = decode_record_json(good, &mut Fleet::new()).unwrap();
+        assert_eq!(rec.gps, GpsCondition::Available);
+
+        let cases: Vec<(String, CsvError)> = vec![
+            (good.replace("\"device\":100000", "\"device\":3.7"), CsvError::Field(5)),
+            (good.replace("\"device\":100000", "\"device\":-1"), CsvError::Field(5)),
+            (good.replace("\"device\":100000", "\"device\":4294967296"), CsvError::Field(5)),
+            (good.replace("\"gps\":1", "\"gps\":1.9"), CsvError::Field(8)),
+            (good.replace("\"gps\":1", "\"gps\":-1"), CsvError::Field(8)),
+            (good.replace("\"gps\":1", "\"gps\":256"), CsvError::Field(8)),
+            (good.replace("\"overspeed\":0", "\"overspeed\":0.5"), CsvError::Field(9)),
+            (good.replace("\"overspeed\":0", "\"overspeed\":2"), CsvError::Field(9)),
+            (good.replace("\"passenger\":1", "\"passenger\":0.9"), CsvError::Field(11)),
+            (good.replace("\"passenger\":1", "\"passenger\":-0.5"), CsvError::Field(11)),
+        ];
+        for (line, want) in cases {
+            let mut fleet = Fleet::new();
+            let got = decode_record_json(&line, &mut fleet).unwrap_err();
+            assert_eq!(got, want, "line: {line}");
+            assert!(fleet.is_empty(), "a rejected line taught the fleet a plate: {line}");
+        }
+    }
+
+    #[test]
+    fn ndjson_non_utf8_line_is_a_bad_line_not_a_dropped_feed() {
+        let (records, fleet) = sample(6);
+        let text = encode_log_json(&records, &fleet).unwrap();
+        let first_end = text.find('\n').unwrap() + 1;
+        let mut bytes = text.as_bytes()[..first_end].to_vec();
+        bytes.extend_from_slice(b"\xff\xfe\n");
+        bytes.extend_from_slice(&text.as_bytes()[first_end..]);
+        let mut src = NdJsonReader::new(Cursor::new(bytes), 1025);
+        let (got, bad) = collect_source(&mut src).unwrap();
+        assert_eq!(got, records);
+        assert_eq!(bad, vec![(1, CsvError::FieldCount(0))]);
     }
 
     #[test]

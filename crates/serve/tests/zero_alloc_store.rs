@@ -13,6 +13,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 use taxilight_core::{LightSchedule, ScheduleView};
 use taxilight_roadnet::graph::LightId;
@@ -54,6 +55,11 @@ fn alloc_calls() -> u64 {
     ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
+/// The counter is process-wide and the harness runs tests on parallel
+/// threads, so each test holds this lock for its whole run: a sibling
+/// test's publishes never land in another's measurement window.
+static ONE_TEST_AT_A_TIME: Mutex<()> = Mutex::new(());
+
 /// A populated view: enough lights that a torn or accidentally-cloning
 /// implementation would show up loudly in the counter.
 fn populated_view(lights: u32) -> ScheduleView {
@@ -81,6 +87,7 @@ fn populated_view(lights: u32) -> ScheduleView {
 
 #[test]
 fn store_query_read_path_is_allocation_free() {
+    let _serial = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     let (store, reader) = ScheduleStore::new();
     store.publish(populated_view(500), Vec::new());
 
@@ -116,6 +123,7 @@ fn store_query_read_path_is_allocation_free() {
 
 #[test]
 fn publishes_do_not_disturb_a_running_reader_loop() {
+    let _serial = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
     // Reads stay allocation-free even while the writer publishes:
     // readers never take the lock and never clone the Arc.
     let (store, reader) = ScheduleStore::new();

@@ -21,6 +21,17 @@ use crate::record::{BodyColor, Fleet, GpsCondition, PassengerState, TaxiRecord};
 use crate::time::Timestamp;
 use crate::GeoPoint;
 
+/// Longest feed line any reader accepts, in bytes, not counting its `\n`
+/// or `\r\n` terminator. A Table-I CSV line is ~95 bytes and an ND-JSON
+/// line ~200; a longer line is one bad line ([`CsvError::LineTooLong`]),
+/// and a reader skips its excess without buffering it.
+pub const MAX_LINE_BYTES: usize = 4096;
+
+/// Most bytes a reader holds of one line, its `\n` excluded: the bound
+/// plus the `\r` of a `\r\n` terminator, which only the next byte can
+/// confirm.
+pub(crate) const LINE_BUF_BYTES: usize = MAX_LINE_BYTES + 1;
+
 /// Errors from decoding a Table-I CSV line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CsvError {
@@ -30,6 +41,8 @@ pub enum CsvError {
     Field(u8),
     /// The record references a taxi id absent from the fleet (encode side).
     UnknownTaxi(u32),
+    /// The line is longer than [`MAX_LINE_BYTES`].
+    LineTooLong,
 }
 
 impl std::fmt::Display for CsvError {
@@ -38,6 +51,7 @@ impl std::fmt::Display for CsvError {
             CsvError::FieldCount(n) => write!(f, "expected 12 fields, found {n}"),
             CsvError::Field(i) => write!(f, "malformed field {i}"),
             CsvError::UnknownTaxi(id) => write!(f, "taxi id {id} not in fleet"),
+            CsvError::LineTooLong => write!(f, "line longer than {MAX_LINE_BYTES} bytes"),
         }
     }
 }
@@ -65,11 +79,45 @@ pub fn encode_record(record: &TaxiRecord, fleet: &Fleet) -> Result<String, CsvEr
     ))
 }
 
+/// True when `line`, less one `\n` or `\r\n` terminator, is longer than
+/// [`MAX_LINE_BYTES`].
+fn is_overlong(line: &str) -> bool {
+    let body = line.strip_suffix('\n').unwrap_or(line);
+    body.strip_suffix('\r').unwrap_or(body).len() > MAX_LINE_BYTES
+}
+
+/// A one-line record decoder: [`decode_record`] for CSV, or the ND-JSON
+/// decoder of a feed socket.
+pub type LineDecode = fn(&str, &mut Fleet) -> Result<TaxiRecord, CsvError>;
+
+/// Decodes one raw feed line the way every reader does, so all of them
+/// agree line for line. Returns `None` for a blank line, which readers
+/// skip. Bytes that are not UTF-8 decode lossily to U+FFFD, so at worst
+/// they fail a field, never the feed; a line over [`MAX_LINE_BYTES`]
+/// after that is [`CsvError::LineTooLong`] whatever it holds.
+pub fn decode_line(
+    raw: &[u8],
+    fleet: &mut Fleet,
+    decode: LineDecode,
+) -> Option<Result<TaxiRecord, CsvError>> {
+    let text = String::from_utf8_lossy(raw);
+    if is_overlong(&text) {
+        return Some(Err(CsvError::LineTooLong));
+    }
+    if text.trim().is_empty() {
+        return None;
+    }
+    Some(decode(&text, fleet))
+}
+
 /// Decodes one Table-I CSV line.
 ///
 /// Unknown plates are registered into `fleet` on the fly (the data centre
 /// learns the fleet from the stream); a known plate reuses its id.
 pub fn decode_record(line: &str, fleet: &mut Fleet) -> Result<TaxiRecord, CsvError> {
+    if is_overlong(line) {
+        return Err(CsvError::LineTooLong);
+    }
     let fields: Vec<&str> = line.trim_end_matches(['\r', '\n']).split(',').collect();
     if fields.len() != 12 {
         return Err(CsvError::FieldCount(fields.len()));
@@ -101,13 +149,8 @@ pub fn decode_record(line: &str, fleet: &mut Fleet) -> Result<TaxiRecord, CsvErr
         .ok_or(CsvError::Field(11))?;
     let color = BodyColor::from_str_loose(fields[11].trim()).ok_or(CsvError::Field(12))?;
 
-    let taxi = match fleet.find_by_plate(plate) {
-        Some(id) => id,
-        None => fleet.insert(plate, device_id, sim, color).expect("plate was checked absent"),
-    };
-
     Ok(TaxiRecord {
-        taxi,
+        taxi: fleet.intern(plate, device_id, sim, color),
         position: GeoPoint::from_micro_degrees(lat6, lon6),
         time,
         speed_kmh,
@@ -135,13 +178,13 @@ pub fn encode_log(records: &[TaxiRecord], fleet: &Fleet) -> Result<String, CsvEr
 pub fn decode_log(text: &str, fleet: &mut Fleet) -> (Vec<TaxiRecord>, Vec<(usize, CsvError)>) {
     let mut records = Vec::new();
     let mut errors = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match decode_record(line, fleet) {
-            Ok(r) => records.push(r),
-            Err(e) => errors.push((i, e)),
+    // Split on `\n` alone, like the streaming readers: a `\r` stays for
+    // `decode_line` to count as part of a `\r\n` terminator.
+    for (i, line) in text.split_terminator('\n').enumerate() {
+        match decode_line(line.as_bytes(), fleet, decode_record) {
+            None => {}
+            Some(Ok(r)) => records.push(r),
+            Some(Err(e)) => errors.push((i, e)),
         }
     }
     (records, errors)
@@ -247,6 +290,58 @@ mod tests {
         assert!(CsvError::FieldCount(3).to_string().contains("12 fields"));
         assert!(CsvError::Field(6).to_string().contains("field 6"));
         assert!(CsvError::UnknownTaxi(4).to_string().contains("4"));
+        assert!(CsvError::LineTooLong.to_string().contains("4096 bytes"));
+    }
+
+    /// A valid line whose plate is padded so the line is `len` bytes.
+    fn line_of_len(len: usize) -> String {
+        let tail = ",114125456,22547123,2014-12-05 15:22:00,100000,36.5,270.0,1,0,138,1,yellow";
+        format!("{}{tail}", "P".repeat(len - tail.len()))
+    }
+
+    #[test]
+    fn line_bound_excludes_the_terminator() {
+        for term in ["", "\n", "\r\n"] {
+            let at = line_of_len(MAX_LINE_BYTES) + term;
+            let rec = decode_record(&at, &mut Fleet::new())
+                .unwrap_or_else(|e| panic!("{term:?}: a line of exactly the bound failed: {e}"));
+            assert_eq!(rec.speed_kmh, 36.5);
+            let over = line_of_len(MAX_LINE_BYTES + 1) + term;
+            assert_eq!(decode_record(&over, &mut Fleet::new()), Err(CsvError::LineTooLong));
+        }
+        // Only one `\r` belongs to the terminator; a second is content.
+        let two_cr = line_of_len(MAX_LINE_BYTES) + "\r\r\n";
+        assert_eq!(decode_record(&two_cr, &mut Fleet::new()), Err(CsvError::LineTooLong));
+    }
+
+    #[test]
+    fn decode_line_skips_blanks_but_never_an_overlong_line() {
+        let mut fleet = Fleet::new();
+        assert_eq!(decode_line(b"  \r", &mut fleet, decode_record), None);
+        let spaces = " ".repeat(MAX_LINE_BYTES + 1);
+        assert_eq!(
+            decode_line(spaces.as_bytes(), &mut fleet, decode_record),
+            Some(Err(CsvError::LineTooLong))
+        );
+        // Non-UTF-8 bytes become U+FFFD and fail a field, not the reader.
+        assert_eq!(
+            decode_line(b"\xff\xfe", &mut fleet, decode_record),
+            Some(Err(CsvError::FieldCount(1)))
+        );
+        assert!(fleet.is_empty());
+    }
+
+    #[test]
+    fn decode_log_numbers_an_overlong_line_like_any_bad_line() {
+        let text = format!(
+            "{}\n\n{}\r\n{}\n",
+            line_of_len(90),
+            line_of_len(MAX_LINE_BYTES + 1),
+            line_of_len(MAX_LINE_BYTES)
+        );
+        let (records, errors) = decode_log(&text, &mut Fleet::new());
+        assert_eq!(records.len(), 2);
+        assert_eq!(errors, vec![(2, CsvError::LineTooLong)]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! ~10 GB/day); this module provides buffered whole-file and streaming
 //! readers/writers over the [`crate::csv`] wire codec.
 
-use crate::csv::{decode_record, encode_record, CsvError};
+use crate::csv::{decode_line, decode_record, encode_record, CsvError, LineDecode, LINE_BUF_BYTES};
 use crate::record::{Fleet, TaxiRecord};
 use crate::stream::TraceLog;
 use std::io::{BufRead, BufReader, BufWriter, Write};
@@ -72,27 +72,100 @@ pub fn read_trace_file(path: &Path) -> Result<ReadOutcome, TraceFileError> {
     Ok((TraceLog::from_records(records), fleet, errors))
 }
 
+/// Reads a feed one line at a time from any [`BufRead`] and decodes each
+/// line through [`decode_line`] — the line reader behind [`TraceReader`]
+/// and the daemon's ND-JSON feed. It holds at most
+/// [`MAX_LINE_BYTES`](crate::csv::MAX_LINE_BYTES) of a line (plus a
+/// `\r`); the rest of an overlong line is consumed through its `\n`
+/// without being buffered.
+pub struct LineReader<R: BufRead> {
+    reader: R,
+    decode: LineDecode,
+    /// The current line, `\n` excluded; never longer than `LINE_BUF_BYTES`.
+    buf: Vec<u8>,
+    line_no: usize,
+}
+
+impl<R: BufRead> LineReader<R> {
+    /// Wraps `reader`, decoding each line with `decode`.
+    pub fn new(reader: R, decode: LineDecode) -> Self {
+        LineReader { reader, decode, buf: Vec::with_capacity(LINE_BUF_BYTES), line_no: 0 }
+    }
+
+    /// The next non-blank line as `(line_number, decoded)`, numbered from
+    /// 0 over every line, blank ones included; `None` at end of input.
+    pub fn next_line(
+        &mut self,
+        fleet: &mut Fleet,
+    ) -> std::io::Result<Option<(usize, Result<TaxiRecord, CsvError>)>> {
+        while let Some(fits) = self.read_line()? {
+            let line_no = self.line_no;
+            self.line_no += 1;
+            let decoded = if fits {
+                decode_line(&self.buf, fleet, self.decode)
+            } else {
+                Some(Err(CsvError::LineTooLong))
+            };
+            if let Some(result) = decoded {
+                return Ok(Some((line_no, result)));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Reads the next line into `buf`, without its `\n`. Returns
+    /// `Some(false)` for a line that outgrew `LINE_BUF_BYTES` (consumed,
+    /// not kept) and `None` at end of input.
+    fn read_line(&mut self) -> std::io::Result<Option<bool>> {
+        self.buf.clear();
+        let mut fits = true;
+        let mut read_any = false;
+        loop {
+            let avail = match self.reader.fill_buf() {
+                Ok(avail) => avail,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            };
+            if avail.is_empty() {
+                break;
+            }
+            read_any = true;
+            let (part, used, ended) = match avail.iter().position(|&b| b == b'\n') {
+                Some(k) => (&avail[..k], k + 1, true),
+                None => (avail, avail.len(), false),
+            };
+            fits &= self.buf.len() + part.len() <= LINE_BUF_BYTES;
+            if fits {
+                self.buf.extend_from_slice(part);
+            }
+            self.reader.consume(used);
+            if ended {
+                break;
+            }
+        }
+        Ok(read_any.then_some(fits))
+    }
+}
+
 /// A streaming reader: yields `(line_number, Result<record>)` without
 /// buffering the whole file, suitable for day-scale feeds.
 pub struct TraceReader<'f, R: BufRead> {
-    reader: R,
+    lines: LineReader<R>,
     fleet: &'f mut Fleet,
-    line_no: usize,
-    buf: String,
 }
 
 impl<'f> TraceReader<'f, BufReader<std::fs::File>> {
     /// Opens a file for streaming decode.
     pub fn open(path: &Path, fleet: &'f mut Fleet) -> Result<Self, TraceFileError> {
         let file = std::fs::File::open(path)?;
-        Ok(TraceReader { reader: BufReader::new(file), fleet, line_no: 0, buf: String::new() })
+        Ok(TraceReader::new(BufReader::new(file), fleet))
     }
 }
 
 impl<'f, R: BufRead> TraceReader<'f, R> {
     /// Wraps any buffered reader (e.g. an in-memory cursor in tests).
     pub fn new(reader: R, fleet: &'f mut Fleet) -> Self {
-        TraceReader { reader, fleet, line_no: 0, buf: String::new() }
+        TraceReader { lines: LineReader::new(reader, decode_record), fleet }
     }
 }
 
@@ -100,21 +173,8 @@ impl<R: BufRead> Iterator for TraceReader<'_, R> {
     type Item = (usize, Result<TaxiRecord, CsvError>);
 
     fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.buf.clear();
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    let line_no = self.line_no;
-                    self.line_no += 1;
-                    if self.buf.trim().is_empty() {
-                        continue;
-                    }
-                    return Some((line_no, decode_record(&self.buf, self.fleet)));
-                }
-                Err(_) => return None,
-            }
-        }
+        // An I/O error ends the stream; a bad line never does.
+        self.lines.next_line(self.fleet).ok().flatten()
     }
 }
 
@@ -204,6 +264,39 @@ mod tests {
         assert_eq!(decoded.len(), 10);
         assert!(decoded.iter().all(|(_, r)| r.is_ok()));
         assert_eq!(decoded.last().unwrap().0, 9);
+    }
+
+    #[test]
+    fn non_utf8_line_is_one_bad_line_not_the_end_of_the_file() {
+        let (records, fleet) = sample_records(6);
+        let text = crate::csv::encode_log(&records, &fleet).unwrap();
+        let first_end = text.find('\n').unwrap() + 1;
+        let mut bytes = text.as_bytes()[..first_end].to_vec();
+        bytes.extend_from_slice(b"\xff\xfe\n");
+        bytes.extend_from_slice(&text.as_bytes()[first_end..]);
+        let mut fleet2 = Fleet::new();
+        let decoded: Vec<_> = TraceReader::new(Cursor::new(bytes), &mut fleet2).collect();
+        assert_eq!(decoded.len(), 7);
+        assert_eq!(decoded[1], (1, Err(CsvError::FieldCount(1))));
+        assert_eq!(decoded.iter().filter(|(_, r)| r.is_ok()).count(), 6);
+    }
+
+    #[test]
+    fn line_reader_holds_at_most_the_bound_of_a_newline_free_stream() {
+        let (records, fleet) = sample_records(1);
+        let mut feed = vec![b'x'; 3 << 20];
+        feed.push(b'\n');
+        feed.extend_from_slice(crate::csv::encode_record(&records[0], &fleet).unwrap().as_bytes());
+        let mut lines = LineReader::new(BufReader::new(Cursor::new(feed)), decode_record);
+        let mut fleet2 = Fleet::new();
+        let first = lines.next_line(&mut fleet2).unwrap();
+        assert_eq!(first, Some((0, Err(CsvError::LineTooLong))));
+        assert!(lines.buf.capacity() <= LINE_BUF_BYTES);
+        let (line_no, second) = lines.next_line(&mut fleet2).unwrap().unwrap();
+        assert_eq!(line_no, 1);
+        assert_eq!(second.unwrap().speed_kmh, records[0].speed_kmh);
+        assert_eq!(lines.next_line(&mut fleet2).unwrap(), None);
+        assert!(lines.buf.capacity() <= LINE_BUF_BYTES);
     }
 
     #[test]

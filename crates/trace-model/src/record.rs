@@ -8,6 +8,7 @@
 
 use crate::geo::GeoPoint;
 use crate::time::Timestamp;
+use std::collections::HashMap;
 
 /// Compact identifier for one taxi (index into the [`Fleet`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -176,9 +177,23 @@ pub struct TaxiInfo {
 }
 
 /// The fleet registry mapping [`TaxiId`] to static taxi identity.
-#[derive(Debug, Clone, Default)]
+///
+/// Ids are dense and assigned in first-seen order. A plate index makes
+/// [`Fleet::find_by_plate`] — run once per decoded record — O(1). The
+/// index is only ever probed, never iterated, so its hash order reaches
+/// no output; it keeps std's SipHash because plates arrive off the
+/// network and must not be able to force collisions.
+#[derive(Clone, Default)]
 pub struct Fleet {
     infos: Vec<TaxiInfo>,
+    by_plate: HashMap<String, TaxiId>,
+}
+
+impl std::fmt::Debug for Fleet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The index mirrors `infos`; printing it would expose hash order.
+        f.debug_struct("Fleet").field("infos", &self.infos).finish_non_exhaustive()
+    }
 }
 
 impl Fleet {
@@ -190,12 +205,18 @@ impl Fleet {
     /// Registers a taxi with generated plate/SIM/device fields and returns
     /// its id. Plates count up deterministically (`YB-00001`, …) like a
     /// real licensing sequence.
+    ///
+    /// Registration does not check for duplicates: if the generated plate
+    /// is already present, [`Fleet::find_by_plate`] keeps answering the
+    /// lowest id.
     pub fn register(&mut self) -> TaxiId {
         let n = self.infos.len() as u32;
         let id = TaxiId(n);
+        let plate = format!("YB-{:05}", n + 1);
+        self.by_plate.entry(plate.clone()).or_insert(id);
         self.infos.push(TaxiInfo {
             id,
-            plate: format!("YB-{:05}", n + 1),
+            plate,
             device_id: 100_000 + n,
             sim: format!("1380000{:05}", n + 1),
             color: BodyColor::ALL[(n as usize) % BodyColor::ALL.len()],
@@ -209,7 +230,8 @@ impl Fleet {
     }
 
     /// Adds a fully specified taxi (e.g. parsed from CSV). Returns its id
-    /// or `None` if a taxi with the same plate already exists.
+    /// or `None`, leaving the fleet unchanged, if a taxi with the same
+    /// plate already exists.
     pub fn insert(
         &mut self,
         plate: &str,
@@ -220,7 +242,19 @@ impl Fleet {
         if self.find_by_plate(plate).is_some() {
             return None;
         }
+        Some(self.intern(plate, device_id, sim, color))
+    }
+
+    /// The id of `plate`, learning it as a new taxi on first sight — the
+    /// data centre's rule for a live feed. A known plate returns its id
+    /// and ignores `device_id`, `sim` and `color`: the first sighting
+    /// wins. Allocates only for a new plate.
+    pub fn intern(&mut self, plate: &str, device_id: u32, sim: &str, color: BodyColor) -> TaxiId {
+        if let Some(id) = self.find_by_plate(plate) {
+            return id;
+        }
         let id = TaxiId(self.infos.len() as u32);
+        self.by_plate.insert(plate.to_string(), id);
         self.infos.push(TaxiInfo {
             id,
             plate: plate.to_string(),
@@ -228,7 +262,7 @@ impl Fleet {
             sim: sim.to_string(),
             color,
         });
-        Some(id)
+        id
     }
 
     /// Looks up static info for a taxi.
@@ -238,7 +272,7 @@ impl Fleet {
 
     /// Finds a taxi by exact plate.
     pub fn find_by_plate(&self, plate: &str) -> Option<TaxiId> {
-        self.infos.iter().find(|i| i.plate == plate).map(|i| i.id)
+        self.by_plate.get(plate).copied()
     }
 
     /// Number of registered taxis.
@@ -251,7 +285,7 @@ impl Fleet {
         self.infos.is_empty()
     }
 
-    /// Iterates over all taxis.
+    /// Iterates over all taxis in id order.
     pub fn iter(&self) -> impl Iterator<Item = &TaxiInfo> {
         self.infos.iter()
     }
@@ -348,6 +382,79 @@ mod tests {
         assert_eq!(fleet.info(id).unwrap().color, BodyColor::Red);
         assert_eq!(fleet.insert("YB-90001", 2, "x", BodyColor::Blue), None);
         assert_eq!(fleet.len(), 1);
+    }
+
+    /// Every id the fleet holds, by plate, checked against a linear scan
+    /// of the id-ordered entries (the lookup the index replaced).
+    fn assert_index_matches_scan(fleet: &Fleet) {
+        for info in fleet.iter() {
+            let first = fleet.iter().find(|i| i.plate == info.plate).map(|i| i.id);
+            assert_eq!(fleet.find_by_plate(&info.plate), first, "plate {}", info.plate);
+        }
+    }
+
+    #[test]
+    fn fleet_insert_of_a_registered_plate_changes_nothing() {
+        let mut fleet = Fleet::new();
+        fleet.register_many(3);
+        let before: Vec<TaxiInfo> = fleet.iter().cloned().collect();
+        assert_eq!(fleet.insert("YB-00002", 9, "sim", BodyColor::Silver), None);
+        assert_eq!(fleet.iter().cloned().collect::<Vec<_>>(), before);
+        assert_eq!(fleet.find_by_plate("YB-00002"), Some(TaxiId(1)));
+        // A new plate after registered ones takes the next dense id.
+        assert_eq!(fleet.insert("ZZ-1", 9, "sim", BodyColor::Silver), Some(TaxiId(3)));
+        assert_index_matches_scan(&fleet);
+    }
+
+    #[test]
+    fn fleet_register_over_an_inserted_plate_keeps_the_lowest_id() {
+        let mut fleet = Fleet::new();
+        // Id 0 takes the plate that registration will generate for id 1.
+        assert_eq!(fleet.insert("YB-00002", 7, "sim", BodyColor::Red), Some(TaxiId(0)));
+        assert_eq!(fleet.register(), TaxiId(1));
+        assert_eq!(fleet.info(TaxiId(1)).unwrap().plate, "YB-00002");
+        assert_eq!(fleet.len(), 2);
+        assert_eq!(fleet.find_by_plate("YB-00002"), Some(TaxiId(0)));
+        assert_eq!(fleet.insert("YB-00002", 8, "sim", BodyColor::Blue), None);
+        assert_index_matches_scan(&fleet);
+    }
+
+    #[test]
+    fn fleet_intern_learns_once_and_first_sighting_wins() {
+        let mut fleet = Fleet::new();
+        let a = fleet.intern("YB-7", 11, "sim-a", BodyColor::Green);
+        let b = fleet.intern("YB-8", 12, "sim-b", BodyColor::Blue);
+        assert_eq!((a, b), (TaxiId(0), TaxiId(1)));
+        // A later sighting with different static fields maps to the same
+        // taxi and leaves the learned identity alone.
+        assert_eq!(fleet.intern("YB-7", 99, "sim-z", BodyColor::Red), a);
+        assert_eq!(fleet.len(), 2);
+        let info = fleet.info(a).unwrap();
+        assert_eq!(
+            (info.device_id, info.sim.as_str(), info.color),
+            (11, "sim-a", BodyColor::Green)
+        );
+        // `intern` and `insert` share one registry.
+        assert_eq!(fleet.insert("YB-8", 0, "", BodyColor::Yellow), None);
+        assert_eq!(fleet.intern("YB-9", 13, "sim-c", BodyColor::Red), TaxiId(2));
+        assert_index_matches_scan(&fleet);
+    }
+
+    #[test]
+    fn fleet_clone_carries_its_own_consistent_index() {
+        let mut original = Fleet::new();
+        original.register_many(4);
+        let mut copy = original.clone();
+        assert_index_matches_scan(&copy);
+        // The two diverge independently: each index sees only its own
+        // additions.
+        assert_eq!(copy.intern("ONLY-COPY", 1, "s", BodyColor::Red), TaxiId(4));
+        assert_eq!(original.intern("ONLY-ORIGINAL", 2, "s", BodyColor::Blue), TaxiId(4));
+        assert_eq!(copy.find_by_plate("ONLY-ORIGINAL"), None);
+        assert_eq!(original.find_by_plate("ONLY-COPY"), None);
+        assert_eq!(copy.find_by_plate("YB-00003"), Some(TaxiId(2)));
+        assert_index_matches_scan(&copy);
+        assert_index_matches_scan(&original);
     }
 
     #[test]

@@ -29,9 +29,13 @@
 //! The record *sequence* (and the bad-line sequence) is therefore a pure
 //! function of the input bytes, identical for every `chunk_bytes ≥ 1` —
 //! pinned by the proptests in `tests/chunked_reader.rs`. Memory is
-//! bounded by `chunk_bytes` plus the longest single line of the input.
+//! bounded by one chunk plus
+//! [`MAX_LINE_BYTES`](crate::csv::MAX_LINE_BYTES): the carry never holds
+//! more of a line than the bound (and a `\r` that may start its
+//! terminator), and a longer line is reported as one
+//! [`CsvError::LineTooLong`] while its excess is skipped unbuffered.
 
-use crate::csv::{decode_record, CsvError};
+use crate::csv::{decode_line, decode_record, CsvError, LINE_BUF_BYTES};
 use crate::io::TraceFileError;
 use crate::record::{Fleet, TaxiRecord};
 use std::io::Read;
@@ -140,8 +144,12 @@ pub struct CsvChunkReader<R: Read> {
     chunk_bytes: usize,
     /// Read buffer, recycled across chunks.
     buf: Vec<u8>,
-    /// Unterminated tail of the previous chunk.
+    /// Unterminated tail of the previous chunk; never longer than
+    /// `LINE_BUF_BYTES`.
     carry: Vec<u8>,
+    /// The held line outgrew the carry: its bytes are skipped through its
+    /// `\n`, and it is reported as one [`CsvError::LineTooLong`].
+    overlong: bool,
     /// Next line number (0-based, counts every line incl. blank ones —
     /// identical to [`crate::io::TraceReader`]).
     line_no: usize,
@@ -173,7 +181,8 @@ impl<R: Read> CsvChunkReader<R> {
             fleet: Fleet::new(),
             chunk_bytes,
             buf: vec![0u8; chunk_bytes],
-            carry: Vec::new(),
+            carry: Vec::with_capacity(LINE_BUF_BYTES),
+            overlong: false,
             line_no: 0,
             bad_line_total: 0,
             record_total: 0,
@@ -202,38 +211,42 @@ impl<R: Read> CsvChunkReader<R> {
         self.record_total
     }
 
-    /// Decodes one complete line (terminating `\n` stripped; a trailing
-    /// `\r` may remain — [`decode_record`] trims it, exactly like the
-    /// whole-file reader). Split out of `next_batch` with disjoint field
-    /// borrows so the line slice may alias `self.buf`.
-    fn decode_line_into(
-        line: &[u8],
-        line_no: &mut usize,
-        fleet: &mut Fleet,
-        record_total: &mut u64,
-        bad_line_total: &mut u64,
-        batch: &mut RecordBatch,
-    ) {
-        let n = *line_no;
-        *line_no += 1;
-        // Lossy decode: the wire format is ASCII, and a line that lost
-        // UTF-8 validity in transit is exactly the garbage the per-row
-        // error path exists for (the replacement char fails a field
-        // parse, never a panic).
-        let text = String::from_utf8_lossy(line);
-        if text.trim().is_empty() {
+    /// Numbers one line and files its outcome into `batch`.
+    fn emit(&mut self, decoded: Option<Result<TaxiRecord, CsvError>>, batch: &mut RecordBatch) {
+        let n = self.line_no;
+        self.line_no += 1;
+        match decoded {
+            None => {}
+            Some(Ok(r)) => batch.records.push(r),
+            Some(Err(e)) => batch.bad_lines.push((n, e)),
+        }
+    }
+
+    /// Appends the next part of the held line to the carry, unless the
+    /// line outgrows it: then the line is overlong and the carry dropped.
+    fn hold(carry: &mut Vec<u8>, overlong: &mut bool, part: &[u8]) {
+        if *overlong {
             return;
         }
-        match decode_record(&text, fleet) {
-            Ok(r) => {
-                *record_total += 1;
-                batch.records.push(r);
-            }
-            Err(e) => {
-                *bad_line_total += 1;
-                batch.bad_lines.push((n, e));
-            }
+        if carry.len() + part.len() > LINE_BUF_BYTES {
+            *overlong = true;
+            carry.clear();
+        } else {
+            carry.extend_from_slice(part);
         }
+    }
+
+    /// Ends the held line: decodes the carry, or reports the line as too
+    /// long if it outgrew the carry.
+    fn finish_held(&mut self, batch: &mut RecordBatch) {
+        let decoded = if self.overlong {
+            Some(Err(CsvError::LineTooLong))
+        } else {
+            decode_line(&self.carry, &mut self.fleet, decode_record)
+        };
+        self.carry.clear();
+        self.overlong = false;
+        self.emit(decoded, batch);
     }
 }
 
@@ -261,51 +274,31 @@ impl<R: Read> RecordSource for CsvChunkReader<R> {
         }
 
         // Split carry + chunk on '\n'; the last fragment (no terminator)
-        // becomes the next carry.
+        // becomes the next carry. A line that lies wholly in this chunk
+        // decodes in place, without touching the carry.
         let mut start = 0;
-        for k in 0..filled {
-            if self.buf[k] == b'\n' {
-                if self.carry.is_empty() {
-                    Self::decode_line_into(
-                        &self.buf[start..k],
-                        &mut self.line_no,
-                        &mut self.fleet,
-                        &mut self.record_total,
-                        &mut self.bad_line_total,
-                        batch,
-                    );
-                } else {
-                    self.carry.extend_from_slice(&self.buf[start..k]);
-                    Self::decode_line_into(
-                        &self.carry,
-                        &mut self.line_no,
-                        &mut self.fleet,
-                        &mut self.record_total,
-                        &mut self.bad_line_total,
-                        batch,
-                    );
-                    self.carry.clear();
-                }
-                start = k + 1;
+        while let Some(len) = self.buf[start..filled].iter().position(|&b| b == b'\n') {
+            let line = &self.buf[start..start + len];
+            start += len + 1;
+            if self.carry.is_empty() && !self.overlong {
+                let decoded = decode_line(line, &mut self.fleet, decode_record);
+                self.emit(decoded, batch);
+            } else {
+                Self::hold(&mut self.carry, &mut self.overlong, line);
+                self.finish_held(batch);
             }
         }
-        self.carry.extend_from_slice(&self.buf[start..filled]);
+        Self::hold(&mut self.carry, &mut self.overlong, &self.buf[start..filled]);
 
         if self.eof {
             // Flush the final unterminated line, if any.
-            if !self.carry.is_empty() {
-                Self::decode_line_into(
-                    &self.carry,
-                    &mut self.line_no,
-                    &mut self.fleet,
-                    &mut self.record_total,
-                    &mut self.bad_line_total,
-                    batch,
-                );
-                self.carry.clear();
+            if !self.carry.is_empty() || self.overlong {
+                self.finish_held(batch);
             }
             self.done = true;
         }
+        self.record_total += batch.records.len() as u64;
+        self.bad_line_total += batch.bad_lines.len() as u64;
         Ok(true)
     }
 }
@@ -431,6 +424,42 @@ mod tests {
             Err(TraceFileError::Io(_)) => {}
             Err(other) => panic!("expected Io error, got {other}"),
             Ok(_) => panic!("open of a missing file succeeded"),
+        }
+    }
+
+    #[test]
+    fn newline_free_stream_is_one_bad_line_in_bounded_memory() {
+        let (records, fleet) = sample(1);
+        let mut feed = vec![b'x'; 3 << 20];
+        feed.push(b'\n');
+        feed.extend_from_slice(encode_log(&records, &fleet).unwrap().as_bytes());
+        for chunk_bytes in [7, 4096, 1 << 16] {
+            let mut src = CsvChunkReader::new(Cursor::new(&feed), chunk_bytes);
+            let mut batch = RecordBatch::new();
+            let (mut got, mut bad) = (Vec::new(), Vec::new());
+            while src.next_batch(&mut batch).unwrap() {
+                got.extend_from_slice(&batch.records);
+                bad.extend_from_slice(&batch.bad_lines);
+                // One chunk plus at most the bound (and a `\r`) of a line.
+                assert_eq!(src.buf.len(), chunk_bytes);
+                assert!(src.carry.capacity() <= LINE_BUF_BYTES, "chunk_bytes={chunk_bytes}");
+            }
+            assert_eq!(bad, vec![(0, CsvError::LineTooLong)], "chunk_bytes={chunk_bytes}");
+            assert_eq!(got, records, "chunk_bytes={chunk_bytes}");
+        }
+    }
+
+    #[test]
+    fn unterminated_overlong_final_line_is_reported() {
+        let (records, fleet) = sample(2);
+        let mut text = encode_log(&records, &fleet).unwrap();
+        text.push_str(&"y".repeat(LINE_BUF_BYTES + 10));
+        for chunk_bytes in [1, 64, 1 << 16] {
+            let mut src = CsvChunkReader::new(Cursor::new(text.as_bytes()), chunk_bytes);
+            let (got, bad) = collect_source(&mut src).unwrap();
+            assert_eq!(got, records);
+            assert_eq!(bad, vec![(2, CsvError::LineTooLong)], "chunk_bytes={chunk_bytes}");
+            assert_eq!(src.bad_line_total(), 1);
         }
     }
 
