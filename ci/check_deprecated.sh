@@ -51,28 +51,3 @@ if [[ -n "$builder_hits" ]]; then
     exit 1
 fi
 echo "ok: no mentions of the removed with_* realtime constructors"
-
-# PlanCacheStats is now a read-only view over the taxilight-obs metrics
-# registry; its public fields stay only for serialization compatibility.
-# In-repo code must go through the hits()/misses()/total() accessors —
-# direct field reads are allowed only inside the defining module.
-STATS_ALLOW='^crates/signal/src/plan\.rs:|^docs/observability\.md:|^ci/check_deprecated\.sh:'
-
-# Field reads look like `stats.hits` / `.plan_cache.misses` with no call
-# parens; the hits()/misses() accessors and unrelated identifiers like
-# `cache_hits` don't match.
-STATS_PATTERN='\.(hits|misses)([^(_[:alnum:]]|$)'
-
-stat_hits=$(grep -rEn "$STATS_PATTERN" \
-    --include='*.rs' \
-    src crates examples tests benches 2>/dev/null \
-    | grep -Ev "$STATS_ALLOW" || true)
-
-if [[ -n "$stat_hits" ]]; then
-    echo "error: direct reads of PlanCacheStats fields outside signal::plan:" >&2
-    echo "$stat_hits" >&2
-    echo >&2
-    echo "Use PlanCacheStats::hits()/misses()/total() (docs/observability.md)." >&2
-    exit 1
-fi
-echo "ok: no direct PlanCacheStats field reads outside signal::plan"

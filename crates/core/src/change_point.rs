@@ -8,8 +8,8 @@
 //! with the red phase — the window start is the green→red change, the
 //! window end the red→green change.
 
-use crate::superpose::cycle_profile;
-use taxilight_signal::convolution::{argmin, circular_moving_average};
+use crate::workspace::IdentifyWorkspace;
+use taxilight_signal::convolution::{argmax, argmin, circular_moving_average_into};
 
 /// A signal-change estimate, in fold coordinates: absolute times
 /// `t ≡ red_start_s (mod cycle_s)` are green→red changes.
@@ -46,58 +46,14 @@ impl std::fmt::Display for ChangePointError {
 impl std::error::Error for ChangePointError {}
 
 /// Identifies the signal-change time from `(t_abs_s, speed)` samples given
-/// the identified `cycle_s` and `red_s`.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` deliberately rejects NaN too
+/// the identified `cycle_s` and `red_s`. A wrapper over the workspace body
+/// with a fresh workspace.
 pub fn identify_change_point(
     samples: &[(f64, f64)],
     cycle_s: f64,
     red_s: f64,
 ) -> Result<ChangePointEstimate, ChangePointError> {
-    if !(cycle_s > 1.0) || !(red_s > 0.0) || red_s >= cycle_s {
-        return Err(ChangePointError::BadParameters);
-    }
-    if samples.is_empty() {
-        return Err(ChangePointError::NoSamples);
-    }
-    let profile = cycle_profile(samples, cycle_s);
-    let window = (red_s.round() as usize).clamp(1, profile.len());
-    let averaged = circular_moving_average(&profile, window);
-    let start = argmin(&averaged).expect("profile is non-empty");
-
-    // Edge refinement: the raw window minimum lags the true red onset —
-    // the queue needs several seconds to form after the light turns red,
-    // and discharge keeps speeds low into early green, so the low-speed
-    // block sits a little late. Snap to the falling edge (the crossing of
-    // the red/green midpoint level) nearest the window start.
-    let n = profile.len();
-    let smoothed = circular_moving_average(&profile, 3);
-    let low = averaged[start];
-    let high = averaged.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let refined = if high - low > 1.0 {
-        let mid = 0.5 * (low + high);
-        // Search a window around the raw start for the latest
-        // above-midpoint → below-midpoint transition.
-        let mut best: Option<(usize, usize)> = None; // (distance, index)
-        for d in -((n as i64).min(20))..=10 {
-            let j = ((start as i64 + d).rem_euclid(n as i64)) as usize;
-            let prev = (j + n - 1) % n;
-            if smoothed[prev] >= mid && smoothed[j] < mid {
-                let dist = d.unsigned_abs() as usize;
-                if best.is_none_or(|(bd, _)| dist < bd) {
-                    best = Some((dist, j));
-                }
-            }
-        }
-        best.map(|(_, j)| j).unwrap_or(start)
-    } else {
-        start
-    };
-
-    Ok(ChangePointEstimate {
-        red_start_s: refined as f64,
-        green_start_s: (refined as f64 + red_s) % cycle_s,
-        min_windowed_speed: averaged[start],
-    })
+    IdentifyWorkspace::new().change_point(samples, cycle_s, red_s)
 }
 
 /// Stop-based green-onset estimator: each queue stop dissolves when the
@@ -106,36 +62,18 @@ pub fn identify_change_point(
 /// true change. Their circular mode (kernel-smoothed histogram over the
 /// fold) locates it. Returns the onset in fold coordinates (absolute time
 /// mod `cycle_s`) or `None` when fewer than `min_stops` estimates exist.
-#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 1)` deliberately rejects NaN too
+/// A wrapper over the workspace body with a fresh workspace.
 pub fn green_onset_from_stops(
     onset_estimates_abs_s: &[f64],
     cycle_s: f64,
     min_stops: usize,
 ) -> Option<f64> {
-    if !(cycle_s > 1.0) || onset_estimates_abs_s.len() < min_stops.max(1) {
-        return None;
-    }
-    let n = cycle_s.round() as usize;
-    let mut counts = vec![0.0f64; n];
-    for &t in onset_estimates_abs_s {
-        let idx = (t.rem_euclid(cycle_s) as usize).min(n - 1);
-        counts[idx] += 1.0;
-    }
-    // Circular triangular kernel, ±4 s.
-    let mut smoothed = vec![0.0f64; n];
-    for (i, s) in smoothed.iter_mut().enumerate() {
-        for d in -4i64..=4 {
-            let j = ((i as i64 + d).rem_euclid(n as i64)) as usize;
-            *s += counts[j] * (5.0 - d.abs() as f64);
-        }
-    }
-    taxilight_signal::convolution::argmax(&smoothed).map(|i| i as f64)
+    IdentifyWorkspace::new().green_onset_from_stops(onset_estimates_abs_s, cycle_s, min_stops)
 }
 
-impl crate::workspace::IdentifyWorkspace {
-    /// Workspace twin of [`identify_change_point`], bit-identical with
-    /// zero steady-state allocations (profile, moving averages and the
-    /// refinement scratch all live in the workspace).
+impl IdentifyWorkspace {
+    /// [`identify_change_point`] with the profile, moving averages and
+    /// refinement scratch kept in the workspace.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 0)` deliberately rejects NaN too
     pub(crate) fn change_point(
         &mut self,
@@ -152,23 +90,23 @@ impl crate::workspace::IdentifyWorkspace {
         let _span = taxilight_obs::span!("change_point.search", cycle_s = cycle_s, red_s = red_s);
         self.cycle_profile(samples, cycle_s);
         let window = (red_s.round() as usize).clamp(1, self.profile.len());
-        taxilight_signal::convolution::circular_moving_average_into(
-            &self.profile,
-            window,
-            &mut self.averaged,
-        );
+        circular_moving_average_into(&self.profile, window, &mut self.averaged);
         let start = argmin(&self.averaged).expect("profile is non-empty");
 
+        // Edge refinement: the raw window minimum lags the true red onset —
+        // the queue needs several seconds to form after the light turns
+        // red, and discharge keeps speeds low into early green, so the
+        // low-speed block sits a little late. Snap to the falling edge (the
+        // crossing of the red/green midpoint level) nearest the window
+        // start.
         let n = self.profile.len();
-        taxilight_signal::convolution::circular_moving_average_into(
-            &self.profile,
-            3,
-            &mut self.smoothed,
-        );
+        circular_moving_average_into(&self.profile, 3, &mut self.smoothed);
         let low = self.averaged[start];
         let high = self.averaged.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let refined = if high - low > 1.0 {
             let mid = 0.5 * (low + high);
+            // Search a window around the raw start for the latest
+            // above-midpoint → below-midpoint transition.
             let mut best: Option<(usize, usize)> = None; // (distance, index)
             for d in -((n as i64).min(20))..=10 {
                 let j = ((start as i64 + d).rem_euclid(n as i64)) as usize;
@@ -192,8 +130,8 @@ impl crate::workspace::IdentifyWorkspace {
         })
     }
 
-    /// Workspace twin of [`green_onset_from_stops`] (histogram and kernel
-    /// buffers reused).
+    /// [`green_onset_from_stops`] with the histogram and kernel buffers
+    /// kept in the workspace.
     #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(x > 1)` deliberately rejects NaN too
     pub(crate) fn green_onset_from_stops(
         &mut self,
@@ -211,6 +149,7 @@ impl crate::workspace::IdentifyWorkspace {
             let idx = (t.rem_euclid(cycle_s) as usize).min(n - 1);
             self.onset_counts[idx] += 1.0;
         }
+        // Circular triangular kernel, ±4 s.
         self.onset_smoothed.clear();
         self.onset_smoothed.resize(n, 0.0);
         for i in 0..n {
@@ -221,7 +160,7 @@ impl crate::workspace::IdentifyWorkspace {
             }
             self.onset_smoothed[i] = s;
         }
-        taxilight_signal::convolution::argmax(&self.onset_smoothed).map(|i| i as f64)
+        argmax(&self.onset_smoothed).map(|i| i as f64)
     }
 }
 
@@ -274,28 +213,7 @@ pub fn fit_red_anchored(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Sparse samples of a red/green square wave with the given phase.
-    fn square_samples(
-        cycle: f64,
-        red: f64,
-        red_start: f64,
-        span: f64,
-        gap: f64,
-        seed: u64,
-    ) -> Vec<(f64, f64)> {
-        let mut out = Vec::new();
-        let mut t = 0.0;
-        let mut state = seed.max(1);
-        while t < span {
-            let pos = (t - red_start).rem_euclid(cycle);
-            let v = if pos < red { 1.5 } else { 38.0 };
-            out.push((t, v));
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            t += gap * (0.5 + (state >> 40) as f64 / (1u64 << 24) as f64);
-        }
-        out
-    }
+    use crate::cycle::testutil::square_samples;
 
     #[test]
     fn fig11_worked_example() {
@@ -387,51 +305,6 @@ mod tests {
         assert_eq!(identify_change_point(&s, 98.0, 0.0), Err(ChangePointError::BadParameters));
         assert_eq!(identify_change_point(&s, 98.0, 98.0), Err(ChangePointError::BadParameters));
         assert!(ChangePointError::NoSamples.to_string().contains("NoSamples"));
-    }
-
-    /// The workspace change-point and onset-histogram paths are
-    /// bit-identical twins of the allocating references, across reuse and
-    /// error cases.
-    #[test]
-    #[allow(clippy::type_complexity)]
-    fn workspace_change_point_matches_allocating_bitwise() {
-        let mut ws = crate::workspace::IdentifyWorkspace::new();
-        let cases: Vec<(Vec<(f64, f64)>, f64, f64)> = vec![
-            (square_samples(98.0, 39.0, 41.0, 98.0 * 30.0, 8.0, 3), 98.0, 39.0),
-            (square_samples(100.0, 40.0, 85.0, 4_000.0, 9.0, 5), 100.0, 40.0),
-            (square_samples(106.0, 63.0, 20.0, 106.0 * 40.0, 25.0, 11), 106.0, 63.0),
-            (vec![], 98.0, 39.0),
-            (vec![(0.0, 10.0)], 0.0, 39.0),
-            (vec![(0.0, 10.0)], 98.0, 98.0),
-            // Flat profile: skips the edge refinement branch.
-            ((0..200).map(|k| (k as f64 * 7.0, 20.0)).collect(), 90.0, 30.0),
-        ];
-        for (samples, cycle_s, red_s) in &cases {
-            let reference = identify_change_point(samples, *cycle_s, *red_s);
-            let got = ws.change_point(samples, *cycle_s, *red_s);
-            match (&got, &reference) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.red_start_s.to_bits(), b.red_start_s.to_bits());
-                    assert_eq!(a.green_start_s.to_bits(), b.green_start_s.to_bits());
-                    assert_eq!(a.min_windowed_speed.to_bits(), b.min_windowed_speed.to_bits());
-                }
-                (Err(a), Err(b)) => assert_eq!(a, b),
-                _ => panic!("divergence: {got:?} vs {reference:?}"),
-            }
-        }
-
-        let onsets: Vec<f64> = (0..40).map(|k| 41.0 + 98.0 * k as f64 + (k % 5) as f64).collect();
-        for (set, cycle, min_stops) in
-            [(&onsets[..], 98.0, 8), (&onsets[..3], 98.0, 8), (&onsets[..], 0.5, 1)]
-        {
-            let reference = green_onset_from_stops(set, cycle, min_stops);
-            let got = ws.green_onset_from_stops(set, cycle, min_stops);
-            assert_eq!(
-                got.map(f64::to_bits),
-                reference.map(f64::to_bits),
-                "onset divergence at cycle {cycle}"
-            );
-        }
     }
 
     #[test]

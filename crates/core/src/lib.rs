@@ -49,6 +49,9 @@ pub mod superpose;
 pub mod view;
 pub mod workspace;
 
+#[cfg(test)]
+mod golden_stages;
+
 pub use config::{ConfigError, CycleMethod, IdentifyConfig, IdentifyConfigBuilder};
 pub use engine::{
     EngineStats, ExecMode, Identifier, IdentifyOutcome, IdentifyRequest, LightSelection,

@@ -522,7 +522,7 @@ pub(crate) fn reconcile_intersections(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::engine::{Identifier, IdentifyRequest};
     use crate::evaluate::{compare, ScheduleTruth};
@@ -533,7 +533,7 @@ mod tests {
 
     /// End-to-end fixture: simulate a small signalized city, preprocess,
     /// and return everything needed to identify lights.
-    fn simulated_world(
+    pub(crate) fn simulated_world(
         plan: PhasePlan,
         taxis: usize,
         duration_s: u64,

@@ -6,51 +6,89 @@
 //! Superposition preserves relative position within the cycle, so the
 //! signal-change time is unchanged.
 
+use crate::workspace::IdentifyWorkspace;
+
 /// Folds `(t_abs_s, value)` samples into one cycle of length `cycle_s`.
 /// The fold anchor is absolute time 0, so a folded coordinate `x`
 /// corresponds to absolute times `t ≡ x (mod cycle_s)`. Output is sorted
-/// by folded coordinate.
+/// by folded coordinate; equal coordinates keep their input order.
 ///
 /// # Panics
 /// Panics when `cycle_s` is not positive.
 pub fn superpose(samples: &[(f64, f64)], cycle_s: f64) -> Vec<(f64, f64)> {
+    let mut folded = Vec::new();
+    superpose_into(samples, cycle_s, &mut folded);
+    folded.into_iter().map(|(x, v, _)| (x, v)).collect()
+}
+
+/// [`superpose`] into `folded` (cleared first), each sample tagged with its
+/// input index. The index breaks ties, so the unstable sort keeps equal
+/// folded coordinates (t = 10 and t = 108 both fold to 10 at cycle 98) in
+/// input order without a stable sort's buffer; bin sums depend on that
+/// order.
+pub(crate) fn superpose_into(
+    samples: &[(f64, f64)],
+    cycle_s: f64,
+    folded: &mut Vec<(f64, f64, usize)>,
+) {
     assert!(cycle_s > 0.0, "cycle must be positive");
-    let mut folded: Vec<(f64, f64)> =
-        samples.iter().map(|&(t, v)| (t.rem_euclid(cycle_s), v)).collect();
-    folded.sort_by(|a, b| a.0.total_cmp(&b.0));
-    folded
+    folded.clear();
+    folded.extend(samples.iter().enumerate().map(|(i, &(t, v))| (t.rem_euclid(cycle_s), v, i)));
+    folded.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
 }
 
 /// Bins folded samples into per-second means over `[0, cycle_len)`;
 /// seconds with no sample are `None`.
 pub fn bin_cycle(folded: &[(f64, f64)], cycle_len: usize) -> Vec<Option<f64>> {
-    let mut sums = vec![0.0; cycle_len];
-    let mut counts = vec![0u32; cycle_len];
-    for &(x, v) in folded {
-        let idx = (x as usize).min(cycle_len.saturating_sub(1));
-        sums[idx] += v;
-        counts[idx] += 1;
+    let mut binned = Vec::new();
+    bin_cycle_into(folded.iter().copied(), cycle_len, &mut Vec::new(), &mut binned);
+    binned
+}
+
+/// [`bin_cycle`] into `binned` (cleared first); `acc` holds each second's
+/// `(sum, count)`.
+pub(crate) fn bin_cycle_into(
+    folded: impl IntoIterator<Item = (f64, f64)>,
+    cycle_len: usize,
+    acc: &mut Vec<(f64, u32)>,
+    binned: &mut Vec<Option<f64>>,
+) {
+    acc.clear();
+    acc.resize(cycle_len, (0.0, 0));
+    for (x, v) in folded {
+        let bin = &mut acc[(x as usize).min(cycle_len.saturating_sub(1))];
+        bin.0 += v;
+        bin.1 += 1;
     }
-    sums.iter().zip(&counts).map(|(&s, &c)| if c > 0 { Some(s / c as f64) } else { None }).collect()
+    binned.clear();
+    binned.extend(acc.iter().map(|&(sum, count)| (count > 0).then(|| sum / count as f64)));
 }
 
 /// Fills `None` gaps by circular linear interpolation between the nearest
 /// filled neighbours (the series is one period of a cyclic signal).
 /// Returns an all-zero series when every slot is empty.
 pub fn fill_gaps_circular(binned: &[Option<f64>]) -> Vec<f64> {
+    let mut out = Vec::new();
+    fill_gaps_circular_into(binned, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`fill_gaps_circular`] into `out` (cleared first); `filled` collects
+/// the indices of the filled slots.
+pub(crate) fn fill_gaps_circular_into(
+    binned: &[Option<f64>],
+    filled: &mut Vec<usize>,
+    out: &mut Vec<f64>,
+) {
     let n = binned.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let filled: Vec<usize> = (0..n).filter(|&i| binned[i].is_some()).collect();
-    if filled.is_empty() {
-        return vec![0.0; n];
-    }
+    filled.clear();
+    filled.extend((0..n).filter(|&i| binned[i].is_some()));
+    out.clear();
     if filled.len() == 1 {
-        let v = binned[filled[0]].unwrap();
-        return vec![v; n];
+        out.resize(n, binned[filled[0]].unwrap());
+        return;
     }
-    let mut out = vec![0.0; n];
+    out.resize(n, 0.0);
     for (k, &i) in filled.iter().enumerate() {
         out[i] = binned[i].unwrap();
         // Fill the gap between this filled slot and the next (circularly).
@@ -66,15 +104,18 @@ pub fn fill_gaps_circular(binned: &[Option<f64>]) -> Vec<f64> {
             out[idx] = vi * (1.0 - w) + vj * w;
         }
     }
-    out
 }
 
 /// Convenience: superpose, bin and gap-fill in one call, producing the
-/// 1 Hz cyclic speed profile the change-point detector consumes.
+/// 1 Hz cyclic speed profile the change-point detector consumes. A wrapper
+/// over the workspace body with a fresh workspace.
+///
+/// # Panics
+/// Panics when `cycle_s` is not positive.
 pub fn cycle_profile(samples: &[(f64, f64)], cycle_s: f64) -> Vec<f64> {
-    let cycle_len = cycle_s.round().max(1.0) as usize;
-    let folded = superpose(samples, cycle_s);
-    fill_gaps_circular(&bin_cycle(&folded, cycle_len))
+    let mut ws = IdentifyWorkspace::new();
+    ws.cycle_profile(samples, cycle_s);
+    ws.profile
 }
 
 /// Epoch-folding contrast: how much of the samples' variance is explained
@@ -128,121 +169,26 @@ pub fn fold_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
     ((bss - noise) / tss).clamp(0.0, 1.0)
 }
 
-impl crate::workspace::IdentifyWorkspace {
-    /// Workspace twin of [`cycle_profile`]: fills `self.profile` with the
-    /// gap-filled 1 Hz cyclic speed profile, bit-identical to the
-    /// allocating chain. The fold sort tags each sample with its original
-    /// index so `sort_unstable_by` reproduces the reference's *stable*
-    /// order (folded coordinates can tie — e.g. t = 10 and t = 108 both
-    /// fold to 10 at cycle 98 — and bin sums depend on summation order).
+impl IdentifyWorkspace {
+    /// [`cycle_profile`] into `self.profile`, with the fold, bin and
+    /// gap-fill scratch kept in the workspace.
     ///
     /// # Panics
     /// Panics when `cycle_s` is not positive.
     pub(crate) fn cycle_profile(&mut self, samples: &[(f64, f64)], cycle_s: f64) {
-        assert!(cycle_s > 0.0, "cycle must be positive");
         let _span =
             taxilight_obs::span!("superpose.profile", samples = samples.len(), cycle_s = cycle_s);
         let cycle_len = cycle_s.round().max(1.0) as usize;
-
-        // superpose
-        self.folded.clear();
-        self.folded
-            .extend(samples.iter().enumerate().map(|(i, &(t, v))| (t.rem_euclid(cycle_s), v, i)));
-        self.folded.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-
-        // bin_cycle
-        self.sums.clear();
-        self.sums.resize(cycle_len, 0.0);
-        self.bin_counts.clear();
-        self.bin_counts.resize(cycle_len, 0);
-        for &(x, v, _) in &self.folded {
-            let idx = (x as usize).min(cycle_len.saturating_sub(1));
-            self.sums[idx] += v;
-            self.bin_counts[idx] += 1;
-        }
-        self.binned.clear();
-        self.binned.extend(self.sums.iter().zip(&self.bin_counts).map(|(&s, &c)| {
-            if c > 0 {
-                Some(s / c as f64)
-            } else {
-                None
-            }
-        }));
-
-        // fill_gaps_circular
-        let n = self.binned.len();
-        self.profile.clear();
-        if n == 0 {
-            return;
-        }
-        self.filled.clear();
-        self.filled.extend((0..n).filter(|&i| self.binned[i].is_some()));
-        if self.filled.is_empty() {
-            self.profile.resize(n, 0.0);
-            return;
-        }
-        if self.filled.len() == 1 {
-            let v = self.binned[self.filled[0]].unwrap();
-            self.profile.resize(n, v);
-            return;
-        }
-        self.profile.resize(n, 0.0);
-        for (k, &i) in self.filled.iter().enumerate() {
-            self.profile[i] = self.binned[i].unwrap();
-            let j = self.filled[(k + 1) % self.filled.len()];
-            let gap = if j > i { j - i } else { n - i + j };
-            if gap <= 1 {
-                continue;
-            }
-            let (vi, vj) = (self.binned[i].unwrap(), self.binned[j].unwrap());
-            for step in 1..gap {
-                let idx = (i + step) % n;
-                let w = step as f64 / gap as f64;
-                self.profile[idx] = vi * (1.0 - w) + vj * w;
-            }
-        }
+        superpose_into(samples, cycle_s, &mut self.folded);
+        let folded = self.folded.iter().map(|&(x, v, _)| (x, v));
+        bin_cycle_into(folded, cycle_len, &mut self.bins, &mut self.binned);
+        fill_gaps_circular_into(&self.binned, &mut self.filled, &mut self.profile);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The workspace profile is bit-identical to the allocating chain,
-    /// including tied folded coordinates (whose bin summation order the
-    /// tagged sort must reproduce) and degenerate inputs.
-    #[test]
-    fn workspace_profile_matches_allocating_bitwise() {
-        let mut ws = crate::workspace::IdentifyWorkspace::new();
-        let mut lcg = 9u64;
-        let mut next = move || {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (lcg >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut cases: Vec<(Vec<(f64, f64)>, f64)> = vec![
-            // Exact ties: 10 and 108 both fold to 10 at cycle 98.
-            (vec![(10.0, 1.0), (108.0, 2.0), (206.0, 3.0), (150.0, 4.0)], 98.0),
-            (vec![], 50.0),
-            (vec![(7.2, 33.0)], 60.0),
-            (vec![(0.4, 0.1), (0.6, 0.2)], 1.3),
-        ];
-        for _ in 0..8 {
-            let n = (next() * 150.0) as usize;
-            let cycle = 10.0 + next() * 200.0;
-            let s: Vec<(f64, f64)> = (0..n)
-                .map(|_| ((next() * 5000.0).round(), (next() * 60.0 * 8.0).round() / 8.0))
-                .collect();
-            cases.push((s, cycle));
-        }
-        for (samples, cycle_s) in &cases {
-            let reference = cycle_profile(samples, *cycle_s);
-            ws.cycle_profile(samples, *cycle_s);
-            assert_eq!(ws.profile.len(), reference.len());
-            for (a, b) in ws.profile.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits(), "profile diverged (cycle {cycle_s})");
-            }
-        }
-    }
 
     #[test]
     fn fold_maps_by_modulo() {

@@ -3,12 +3,15 @@
 //! [`IdentifyWorkspace`] owns a [`SignalWorkspace`] (FFT plan cache plus
 //! resample/spectrum scratch) and every intermediate buffer the per-light
 //! `cycle → enhance → superpose → red → change_point` chain needs from this
-//! crate. After a warmup call per signal shape, the workspace-threaded
-//! pipeline performs **zero heap allocations** on the steady-state
-//! cycle/DFT path and returns results **bit-identical** to the allocating
-//! reference functions — pinned by the per-stage equality tests in
-//! `cycle`/`enhance`/`superpose`/`change_point` and the counting-allocator
-//! test behind the `alloc-counter` feature.
+//! crate. Its stage methods are the only implementation of each stage: the
+//! free functions (`identify_cycle_from_samples`, `mirror_enhance`,
+//! `cycle_profile`, `identify_change_point`, `green_onset_from_stops`)
+//! wrap them with a fresh workspace per call. After a warmup call per
+//! signal shape, the workspace-threaded pipeline performs **zero heap
+//! allocations** on the steady-state cycle/DFT path — pinned by the
+//! counting-allocator test behind the `alloc-counter` feature — and the
+//! golden digests in `golden_stages.rs` pin every stage's output bits, for
+//! a fresh workspace and for one reused across calls.
 //!
 //! ## Ownership rules
 //!
@@ -146,8 +149,8 @@ pub struct IdentifyWorkspace {
     pub(crate) grid: Vec<f64>,
     /// In-band DFT candidates plus their subdivisions.
     pub(crate) candidates: Vec<PeriodEstimate>,
-    /// `(period, fold score, bin, snr)` per refined candidate.
-    pub(crate) scored: Vec<(f64, f64, usize, f64)>,
+    /// Refined period and fold score per candidate.
+    pub(crate) scored: Vec<crate::cycle::Scored>,
     // --- enhancement stage ---
     /// Slot-merged primary samples.
     pub(crate) prim: Vec<(f64, f64)>,
@@ -162,13 +165,10 @@ pub struct IdentifyWorkspace {
     /// Perpendicular-axis pool (to be mirrored).
     pub(crate) pool_perpendicular: Vec<(f64, f64)>,
     // --- superpose / change-point stage ---
-    /// `(folded t, v, index)` sort scratch reproducing the stable fold
-    /// order without allocation.
+    /// `(folded t, v, input index)` fold scratch.
     pub(crate) folded: Vec<(f64, f64, usize)>,
-    /// Per-second value sums of the folded cycle.
-    pub(crate) sums: Vec<f64>,
-    /// Per-second sample counts of the folded cycle.
-    pub(crate) bin_counts: Vec<u32>,
+    /// Per-second `(sum, count)` of the folded cycle.
+    pub(crate) bins: Vec<(f64, u32)>,
     /// Per-second means, `None` where no sample landed.
     pub(crate) binned: Vec<Option<f64>>,
     /// Indices of the filled bins (gap-fill scratch).

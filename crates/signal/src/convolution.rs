@@ -262,22 +262,6 @@ mod tests {
     }
 
     #[test]
-    fn circular_average_into_matches_allocating() {
-        let x: Vec<f64> = (0..97).map(|k| ((k * 31) % 17) as f64 - 8.0).collect();
-        let mut out = vec![999.0; 3]; // stale contents must be cleared
-        for w in [1usize, 2, 40, 97, 200] {
-            circular_moving_average_into(&x, w, &mut out);
-            let reference = circular_moving_average(&x, w);
-            assert_eq!(out.len(), reference.len());
-            for (a, b) in out.iter().zip(&reference) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-        circular_moving_average_into(&[], 3, &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
     fn argmin_argmax_tie_break_earliest() {
         let x = vec![2.0, 1.0, 1.0, 3.0, 3.0];
         assert_eq!(argmin(&x), Some(1));

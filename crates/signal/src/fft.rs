@@ -8,8 +8,13 @@
 //! cycle-length identifier can use either this module or [`crate::dft`]
 //! interchangeably — the plain DFT is kept as the property-test oracle and
 //! as a benchmark baseline.
+//!
+//! The transforms themselves live in [`crate::plan`]: each function here
+//! builds the plan for its length and runs it once. Callers that transform
+//! the same length repeatedly keep the plan in a [`crate::PlanCache`].
 
 use crate::complex::Complex64;
+use crate::plan::{fft_pow2_in_place_with, FftPlan, Pow2Plan};
 
 /// Returns `true` if `n` is a power of two (zero is not).
 #[inline]
@@ -29,40 +34,7 @@ pub fn next_power_of_two(n: usize) -> usize {
 /// Panics if `buf.len()` is not a power of two. Use [`fft`] for arbitrary
 /// lengths.
 pub fn fft_pow2_in_place(buf: &mut [Complex64]) {
-    let n = buf.len();
-    assert!(is_power_of_two(n), "fft_pow2_in_place requires a power-of-two length, got {n}");
-    if n <= 1 {
-        return;
-    }
-
-    // Bit-reversal permutation.
-    let bits = n.trailing_zeros();
-    for i in 0..n {
-        let j = i.reverse_bits() >> (usize::BITS - bits);
-        if i < j {
-            buf.swap(i, j);
-        }
-    }
-
-    // Butterflies. Twiddle for stage of half-size `half`: w = e^{-iπ/half}.
-    // Each stage's twiddles are materialised with the same incremental
-    // `w *= w_base` chain the loop used to carry inline (every block
-    // restarts at ONE, so one table serves all blocks), then the stage runs
-    // through the butterfly kernel — bit-identical by construction.
-    let mut twiddles: Vec<Complex64> = Vec::with_capacity(n / 2);
-    let mut half = 1;
-    while half < n {
-        let step = -std::f64::consts::PI / half as f64;
-        let w_base = Complex64::cis(step);
-        twiddles.clear();
-        let mut w = Complex64::ONE;
-        for _ in 0..half {
-            twiddles.push(w);
-            w *= w_base;
-        }
-        crate::kernels::butterfly_stage(buf, half, &twiddles);
-        half *= 2;
-    }
+    fft_pow2_in_place_with(&Pow2Plan::new(buf.len()), buf);
 }
 
 /// Forward FFT of a complex signal of arbitrary length.
@@ -70,17 +42,11 @@ pub fn fft_pow2_in_place(buf: &mut [Complex64]) {
 /// Power-of-two lengths use radix-2 directly; other lengths go through
 /// Bluestein's chirp-z reformulation (still `O(N log N)`).
 pub fn fft(signal: &[Complex64]) -> Vec<Complex64> {
-    let n = signal.len();
-    if n == 0 {
-        return Vec::new();
+    let mut buf = signal.to_vec();
+    if !buf.is_empty() {
+        FftPlan::new(buf.len()).fft_in_place(&mut buf, &mut Vec::new());
     }
-    if is_power_of_two(n) {
-        let mut buf = signal.to_vec();
-        fft_pow2_in_place(&mut buf);
-        buf
-    } else {
-        bluestein(signal)
-    }
+    buf
 }
 
 /// Forward FFT of a real signal (convenience wrapper over [`fft`]).
@@ -92,17 +58,11 @@ pub fn fft_real(signal: &[f64]) -> Vec<Complex64> {
 /// Inverse FFT: recovers the time-domain signal from [`fft`] output,
 /// including the `1/N` normalisation.
 pub fn ifft(spectrum: &[Complex64]) -> Vec<Complex64> {
-    let n = spectrum.len();
-    if n == 0 {
-        return Vec::new();
+    let mut buf = spectrum.to_vec();
+    if !buf.is_empty() {
+        FftPlan::new(buf.len()).ifft_in_place(&mut buf, &mut Vec::new());
     }
-    // IFFT(x) = conj(FFT(conj(x))) / N.
-    let mut conj = spectrum.to_vec();
-    crate::kernels::conj_in_place(&mut conj);
-    let mut out = fft(&conj);
-    let inv_n = 1.0 / n as f64;
-    crate::kernels::conj_scale_in_place(&mut out, inv_n);
-    out
+    buf
 }
 
 /// The paper's Eq. (1) spectrum computed via FFT.
@@ -111,56 +71,11 @@ pub fn ifft(spectrum: &[Complex64]) -> Vec<Complex64> {
 /// `X`, `Eq1_n = (1/N)·conj(FFT(X)_n)`, so magnitudes are identical to the
 /// standard convention and only phases flip.
 pub fn eq1_spectrum(signal: &[f64]) -> Vec<Complex64> {
-    let n = signal.len();
-    if n == 0 {
-        return Vec::new();
+    let mut buf: Vec<Complex64> = signal.iter().map(|&v| Complex64::from_real(v)).collect();
+    if !buf.is_empty() {
+        FftPlan::new(buf.len()).eq1_in_place(&mut buf, &mut Vec::new());
     }
-    let inv_n = 1.0 / n as f64;
-    let mut out = fft_real(signal);
-    crate::kernels::conj_scale_in_place(&mut out, inv_n);
-    out
-}
-
-/// Bluestein's algorithm: expresses an arbitrary-N DFT as a circular
-/// convolution of length `m = next_pow2(2N-1)`, evaluated with radix-2 FFTs.
-fn bluestein(signal: &[Complex64]) -> Vec<Complex64> {
-    let n = signal.len();
-    debug_assert!(n > 0);
-    let m = next_power_of_two(2 * n - 1);
-
-    // Chirp w_k = e^{-iπk²/n}. Reduce k² mod 2n to keep angles accurate:
-    // e^{-iπk²/n} has period 2n in k².
-    let chirp: Vec<Complex64> = (0..n)
-        .map(|k| {
-            let k2 = (k as u128 * k as u128) % (2 * n as u128);
-            Complex64::cis(-std::f64::consts::PI * k2 as f64 / n as f64)
-        })
-        .collect();
-
-    // a_k = x_k · w_k, zero-padded to m.
-    let mut a = vec![Complex64::ZERO; m];
-    crate::kernels::cmul_into(signal, &chirp, &mut a[..n]);
-
-    // b_k = conj(w_k) arranged circularly: b[0] = conj(w_0), b[k] = b[m-k] = conj(w_k).
-    let mut b = vec![Complex64::ZERO; m];
-    b[0] = chirp[0].conj();
-    for k in 1..n {
-        let c = chirp[k].conj();
-        b[k] = c;
-        b[m - k] = c;
-    }
-
-    fft_pow2_in_place(&mut a);
-    fft_pow2_in_place(&mut b);
-    crate::kernels::cmul_in_place(&mut a, &b);
-    // Inverse FFT of the product.
-    let conv = ifft(&a);
-
-    // Y_k = w_k · conv_k (complex × is bitwise commutative, so the kernel's
-    // operand order matches the legacy `chirp[k] * conv[k]`).
-    let mut out = vec![Complex64::ZERO; n];
-    crate::kernels::cmul_into(&chirp, &conv[..n], &mut out);
-    out
+    buf
 }
 
 #[cfg(test)]

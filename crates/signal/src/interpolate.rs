@@ -56,23 +56,42 @@ pub(crate) fn validate(points: &[(f64, f64)]) -> Result<(), InterpolateError> {
 /// is used as the interpolation input. Input need not be sorted; output is
 /// sorted and strictly increasing, ready for the interpolants here.
 pub fn merge_coincident(samples: &[(f64, f64)]) -> Vec<(f64, f64)> {
-    let mut sorted: Vec<(f64, f64)> =
-        samples.iter().copied().filter(|(t, v)| t.is_finite() && v.is_finite()).collect();
-    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let mut out: Vec<(f64, f64)> = Vec::with_capacity(sorted.len());
+    let mut out = Vec::new();
+    merge_coincident_into(samples, &mut Vec::new(), &mut out);
+    out
+}
+
+/// [`merge_coincident`] into `out` (cleared first). Non-finite samples are
+/// dropped; `tagged` carries each kept sample's index, so the unstable sort
+/// keeps equal times in input order and each slot's mean sums its samples
+/// in that order.
+pub(crate) fn merge_coincident_into(
+    samples: &[(f64, f64)],
+    tagged: &mut Vec<(f64, f64, usize)>,
+    out: &mut Vec<(f64, f64)>,
+) {
+    tagged.clear();
+    tagged.extend(
+        samples
+            .iter()
+            .filter(|(t, v)| t.is_finite() && v.is_finite())
+            .enumerate()
+            .map(|(i, &(t, v))| (t, v, i)),
+    );
+    tagged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
+    out.clear();
     let mut i = 0;
-    while i < sorted.len() {
-        let slot = sorted[i].0.floor();
+    while i < tagged.len() {
+        let slot = tagged[i].0.floor();
         let mut sum = 0.0;
         let mut count = 0.0;
-        while i < sorted.len() && sorted[i].0.floor() == slot {
-            sum += sorted[i].1;
+        while i < tagged.len() && tagged[i].0.floor() == slot {
+            sum += tagged[i].1;
             count += 1.0;
             i += 1;
         }
         out.push((slot, sum / count));
     }
-    out
 }
 
 /// Piecewise-linear interpolation of `points` (strictly increasing in x) at
@@ -106,10 +125,13 @@ pub(crate) fn linear_eval(points: &[(f64, f64)], x: f64) -> f64 {
 /// the standard textbook construction; evaluation outside the sample range
 /// clamps to the boundary values, which is the safe choice when the caller's
 /// analysis window slightly overhangs the data.
+///
+/// [`resample`] evaluates the same spline on a regular grid with
+/// [`crate::kernels::spline_grid_into`]; this type is its per-point form.
 #[derive(Debug, Clone)]
 pub struct CubicSpline {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
+    /// The knots, strictly increasing in x.
+    points: Vec<(f64, f64)>,
     /// Second derivatives at the knots (zero at both ends).
     m: Vec<f64>,
 }
@@ -119,74 +141,25 @@ impl CubicSpline {
     /// degenerates to the connecting line.
     pub fn new(points: &[(f64, f64)]) -> Result<Self, InterpolateError> {
         validate(points)?;
-        let n = points.len();
-        let xs: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let ys: Vec<f64> = points.iter().map(|p| p.1).collect();
-        if n < 3 {
-            return Ok(CubicSpline { xs, ys, m: vec![0.0; n] });
-        }
-
-        // Solve the tridiagonal system for interior second derivatives
-        // (Thomas algorithm). Natural BCs: m[0] = m[n-1] = 0.
-        let h: Vec<f64> = xs.windows(2).map(|w| w[1] - w[0]).collect();
-        let interior = n - 2;
-        let mut diag = vec![0.0; interior];
-        let mut rhs = vec![0.0; interior];
-        let mut sub = vec![0.0; interior]; // sub[i] couples unknown i to i-1
-        let mut sup = vec![0.0; interior]; // sup[i] couples unknown i to i+1
-        for i in 0..interior {
-            let hi = h[i];
-            let hi1 = h[i + 1];
-            diag[i] = 2.0 * (hi + hi1);
-            sub[i] = hi;
-            sup[i] = hi1;
-            rhs[i] = 6.0 * ((ys[i + 2] - ys[i + 1]) / hi1 - (ys[i + 1] - ys[i]) / hi);
-        }
-        // Forward elimination.
-        for i in 1..interior {
-            let w = sub[i] / diag[i - 1];
-            diag[i] -= w * sup[i - 1];
-            rhs[i] -= w * rhs[i - 1];
-        }
-        // Back substitution.
-        let mut m = vec![0.0; n];
-        if interior > 0 {
-            m[n - 2] = rhs[interior - 1] / diag[interior - 1];
-            for i in (0..interior - 1).rev() {
-                m[i + 1] = (rhs[i] - sup[i] * m[i + 2]) / diag[i];
-            }
-        }
-        Ok(CubicSpline { xs, ys, m })
+        let mut m = Vec::new();
+        spline_coeffs(points, &mut ThomasScratch::default(), &mut m);
+        Ok(CubicSpline { points: points.to_vec(), m })
     }
 
     /// Number of knots.
     pub fn len(&self) -> usize {
-        self.xs.len()
+        self.points.len()
     }
 
     /// True if the spline has no knots (never constructible; kept for API
     /// symmetry with `len`).
     pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
+        self.points.is_empty()
     }
 
     /// Evaluates the spline at `x`, clamping outside the knot range.
     pub fn eval(&self, x: f64) -> f64 {
-        let n = self.xs.len();
-        if n == 1 || x <= self.xs[0] {
-            return if x <= self.xs[0] { self.ys[0] } else { self.ys[n - 1] };
-        }
-        if x >= self.xs[n - 1] {
-            return self.ys[n - 1];
-        }
-        let idx = self.xs.partition_point(|&t| t <= x);
-        let (x0, x1) = (self.xs[idx - 1], self.xs[idx]);
-        let (y0, y1) = (self.ys[idx - 1], self.ys[idx]);
-        let (m0, m1) = (self.m[idx - 1], self.m[idx]);
-        let h = x1 - x0;
-        let a = (x1 - x) / h;
-        let b = (x - x0) / h;
-        a * y0 + b * y1 + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0
+        spline_eval(&self.points, &self.m, x)
     }
 
     /// Evaluates the spline at many points.
@@ -199,6 +172,77 @@ impl CubicSpline {
     pub fn sample_grid(&self, t0: f64, dt: f64, count: usize) -> Vec<f64> {
         (0..count).map(|k| self.eval(t0 + dt * k as f64)).collect()
     }
+}
+
+/// Scratch of the natural-spline tridiagonal solve.
+#[derive(Debug, Default)]
+pub(crate) struct ThomasScratch {
+    h: Vec<f64>,
+    diag: Vec<f64>,
+    /// `sub[i]` couples unknown `i` to `i − 1`.
+    sub: Vec<f64>,
+    /// `sup[i]` couples unknown `i` to `i + 1`.
+    sup: Vec<f64>,
+    rhs: Vec<f64>,
+}
+
+/// Natural-cubic-spline second derivatives at the knots `points` into `m2`
+/// (cleared first): the interior ones from a Thomas solve, zero at both
+/// ends. Fewer than three knots leave every second derivative zero.
+pub(crate) fn spline_coeffs(points: &[(f64, f64)], s: &mut ThomasScratch, m2: &mut Vec<f64>) {
+    let n = points.len();
+    m2.clear();
+    m2.resize(n, 0.0);
+    if n < 3 {
+        return;
+    }
+    s.h.clear();
+    s.h.extend(points.windows(2).map(|w| w[1].0 - w[0].0));
+    let interior = n - 2;
+    for v in [&mut s.diag, &mut s.rhs, &mut s.sub, &mut s.sup] {
+        v.clear();
+        v.resize(interior, 0.0);
+    }
+    for i in 0..interior {
+        let hi = s.h[i];
+        let hi1 = s.h[i + 1];
+        s.diag[i] = 2.0 * (hi + hi1);
+        s.sub[i] = hi;
+        s.sup[i] = hi1;
+        s.rhs[i] = 6.0
+            * ((points[i + 2].1 - points[i + 1].1) / hi1 - (points[i + 1].1 - points[i].1) / hi);
+    }
+    // Forward elimination.
+    for i in 1..interior {
+        let w = s.sub[i] / s.diag[i - 1];
+        s.diag[i] -= w * s.sup[i - 1];
+        s.rhs[i] -= w * s.rhs[i - 1];
+    }
+    // Back substitution.
+    m2[n - 2] = s.rhs[interior - 1] / s.diag[interior - 1];
+    for i in (0..interior - 1).rev() {
+        m2[i + 1] = (s.rhs[i] - s.sup[i] * m2[i + 2]) / s.diag[i];
+    }
+}
+
+/// The spline through `points` with knot second derivatives `m2`,
+/// evaluated at `x` (clamped outside the knot range).
+pub(crate) fn spline_eval(points: &[(f64, f64)], m2: &[f64], x: f64) -> f64 {
+    let n = points.len();
+    if n == 1 || x <= points[0].0 {
+        return if x <= points[0].0 { points[0].1 } else { points[n - 1].1 };
+    }
+    if x >= points[n - 1].0 {
+        return points[n - 1].1;
+    }
+    let idx = points.partition_point(|&(t, _)| t <= x);
+    let (x0, x1) = (points[idx - 1].0, points[idx].0);
+    let (y0, y1) = (points[idx - 1].1, points[idx].1);
+    let (m0, m1) = (m2[idx - 1], m2[idx]);
+    let h = x1 - x0;
+    let a = (x1 - x) / h;
+    let b = (x - x0) / h;
+    a * y0 + b * y1 + ((a * a * a - a) * m0 + (b * b * b - b) * m1) * h * h / 6.0
 }
 
 /// How to turn irregular samples into a regular grid.
@@ -216,7 +260,9 @@ pub enum Method {
 /// Resamples irregular `(t, v)` samples onto the regular grid
 /// `t0, t0+dt, …` (`count` points) after same-slot mean-merging.
 ///
-/// Returns `Err(Empty)` when no finite samples exist.
+/// Returns `Err(Empty)` when no finite samples exist. A wrapper over
+/// [`SignalWorkspace::resample_into`](crate::SignalWorkspace::resample_into)
+/// with a fresh workspace.
 pub fn resample(
     samples: &[(f64, f64)],
     t0: f64,
@@ -224,35 +270,9 @@ pub fn resample(
     count: usize,
     method: Method,
 ) -> Result<Vec<f64>, InterpolateError> {
-    let merged = merge_coincident(samples);
-    if merged.is_empty() {
-        return Err(InterpolateError::Empty);
-    }
-    match method {
-        Method::NearestOrZero => {
-            let mut grid = vec![0.0; count];
-            for &(t, v) in &merged {
-                let slot = ((t - t0) / dt).round();
-                if slot >= 0.0 && (slot as usize) < count {
-                    grid[slot as usize] = v;
-                }
-            }
-            Ok(grid)
-        }
-        Method::Linear => {
-            // The kernel's monotone-scan grid evaluation is bit-identical to
-            // `linear_interpolate` on the same grid, without materialising
-            // the query vector.
-            validate(&merged)?;
-            let mut out = Vec::with_capacity(count);
-            crate::kernels::lerp_grid_into(&merged, t0, dt, count, &mut out);
-            Ok(out)
-        }
-        Method::CubicSpline => {
-            let spline = CubicSpline::new(&merged)?;
-            Ok(spline.sample_grid(t0, dt, count))
-        }
-    }
+    let mut out = Vec::new();
+    crate::SignalWorkspace::new().resample_into(samples, t0, dt, count, method, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -208,9 +208,8 @@ pub fn lerp_grid_into(points: &[(f64, f64)], t0: f64, dt: f64, count: usize, out
 
 /// Natural-cubic-spline evaluation of (`points`, second derivatives `m2`)
 /// on the regular grid into `out` (cleared first), bit-identical to the
-/// per-point spline evaluation used by `SignalWorkspace::resample_into`
-/// and `CubicSpline::eval`, with a monotone segment scan. Bit-identity
-/// class.
+/// per-point `CubicSpline::eval`, with a monotone segment scan.
+/// Bit-identity class.
 ///
 /// # Panics
 /// Panics when `points` is empty or `m2.len() != points.len()`.
@@ -234,7 +233,7 @@ pub fn spline_grid_into(
     }
     if dt <= 0.0 || dt.is_nan() || !t0.is_finite() {
         out.extend(
-            (0..count).map(|k| crate::workspace::spline_eval(points, m2, t0 + dt * k as f64)),
+            (0..count).map(|k| crate::interpolate::spline_eval(points, m2, t0 + dt * k as f64)),
         );
         return;
     }

@@ -23,9 +23,10 @@
 //!   an alternative estimator kept for the method ablation.
 //! * [`plan`] — precomputed FFT plans (radix-2 twiddles, Bluestein chirp +
 //!   b-spectrum) cached per transform length.
-//! * [`workspace`] — [`SignalWorkspace`], per-thread reusable scratch making
-//!   the resample → Eq. (1) → period-search chain allocation-free in steady
-//!   state while staying bit-identical to the free functions.
+//! * [`workspace`] — [`SignalWorkspace`], per-thread reusable scratch and
+//!   the one implementation of the resample → Eq. (1) → period-search
+//!   chain, allocation-free in steady state; the free functions in
+//!   [`interpolate`] and [`periodogram`] wrap it with a fresh workspace.
 
 #![warn(missing_docs)]
 

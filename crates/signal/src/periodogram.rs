@@ -15,8 +15,12 @@
 //! An optional parabolic peak refinement gives sub-bin resolution; the
 //! paper's integer-bin estimator is the default and the refinement is an
 //! extension benchmarked as a DESIGN.md ablation.
+//!
+//! The search itself is [`SignalWorkspace::dominant_period`] and
+//! [`SignalWorkspace::band_candidates_into`]; the free functions here wrap
+//! them with a fresh workspace per call.
 
-use crate::fft::{eq1_spectrum, next_power_of_two};
+use crate::SignalWorkspace;
 
 /// How the magnitude spectrum behind the dominant-period search is computed.
 ///
@@ -76,184 +80,38 @@ pub struct PeriodEstimate {
     pub snr: f64,
 }
 
-/// Magnitudes of the Eq. (1) spectrum, bins `0 ..= N/2` (the meaningful half
-/// for a real signal).
-pub fn magnitude_spectrum(signal: &[f64]) -> Vec<f64> {
-    let spec = eq1_spectrum(signal);
-    let half = (spec.len() / 2 + 1).min(spec.len());
-    let mut mags = Vec::new();
-    crate::kernels::magnitudes_into(&spec[..half], &mut mags);
-    mags
-}
-
-/// Removes the mean from a signal (returns a new vector). Demeaning before
-/// the DFT keeps the DC component from dwarfing the cycle peak.
-pub fn demean(signal: &[f64]) -> Vec<f64> {
-    if signal.is_empty() {
-        return Vec::new();
-    }
-    let mean = crate::kernels::sum(signal) / signal.len() as f64;
-    let mut out = Vec::new();
-    crate::kernels::subtract_scalar_into(signal, mean, &mut out);
-    out
-}
-
 /// Finds the dominant period of `signal` sampled every `sample_dt` seconds,
-/// searching only periods inside `band`.
+/// searching only periods inside `band`, over the exact-length spectrum
+/// without peak refinement.
 ///
 /// Implements Eq. (2): the winning bin `n` maps to period `N·dt/n`. Returns
 /// `None` when the signal is too short for the band (no bin falls inside
-/// it) or empty.
+/// it) or empty. See [`SignalWorkspace::dominant_period`] for the other
+/// spectrum paths and the refinement.
 pub fn dominant_period(signal: &[f64], sample_dt: f64, band: PeriodBand) -> Option<PeriodEstimate> {
-    search(signal, sample_dt, band, false, SpectrumPath::Exact)
+    SignalWorkspace::new().dominant_period(signal, sample_dt, band, false, SpectrumPath::Exact)
 }
 
-/// Like [`dominant_period`] but with an explicit [`SpectrumPath`].
-pub fn dominant_period_with(
-    signal: &[f64],
-    sample_dt: f64,
-    band: PeriodBand,
-    path: SpectrumPath,
-) -> Option<PeriodEstimate> {
-    search(signal, sample_dt, band, false, path)
-}
-
-/// Like [`dominant_period`] but applies parabolic interpolation around the
-/// winning bin for sub-bin period resolution.
-pub fn dominant_period_refined(
-    signal: &[f64],
-    sample_dt: f64,
-    band: PeriodBand,
-) -> Option<PeriodEstimate> {
-    search(signal, sample_dt, band, true, SpectrumPath::Exact)
-}
-
-/// Like [`dominant_period_refined`] but with an explicit [`SpectrumPath`].
-pub fn dominant_period_refined_with(
-    signal: &[f64],
-    sample_dt: f64,
-    band: PeriodBand,
-    path: SpectrumPath,
-) -> Option<PeriodEstimate> {
-    search(signal, sample_dt, band, true, path)
-}
-
-/// The `k` strongest in-band bins, strongest first. Useful when the raw
-/// argmax is ambiguous and the caller wants to re-rank candidates with an
-/// orthogonal criterion (e.g. epoch-folding contrast).
+/// The `k` strongest in-band bins of the exact-length spectrum, strongest
+/// first. Useful when the raw argmax is ambiguous and the caller wants to
+/// re-rank candidates with an orthogonal criterion (e.g. epoch-folding
+/// contrast).
 pub fn band_candidates(
     signal: &[f64],
     sample_dt: f64,
     band: PeriodBand,
     k: usize,
 ) -> Vec<PeriodEstimate> {
-    band_candidates_with(signal, sample_dt, band, k, SpectrumPath::Exact)
-}
-
-/// Like [`band_candidates`] but with an explicit [`SpectrumPath`].
-pub fn band_candidates_with(
-    signal: &[f64],
-    sample_dt: f64,
-    band: PeriodBand,
-    k: usize,
-    path: SpectrumPath,
-) -> Vec<PeriodEstimate> {
-    assert!(sample_dt > 0.0, "sample_dt must be positive");
-    let n = signal.len();
-    if n < 4 || k == 0 {
-        return Vec::new();
-    }
-    let (mags, total) = banded_spectrum(signal, sample_dt, path);
-    let lo_bin = ((total / band.max_period).ceil() as usize).max(1);
-    let hi_bin = ((total / band.min_period).floor() as usize).min(mags.len().saturating_sub(1));
-    if lo_bin > hi_bin {
-        return Vec::new();
-    }
-    let mut band_mags: Vec<f64> = mags[lo_bin..=hi_bin].to_vec();
-    band_mags.sort_by(f64::total_cmp);
-    let median = band_mags[band_mags.len() / 2];
-
-    let mut bins: Vec<(usize, f64)> =
-        (lo_bin..=hi_bin).map(|b| (b, mags[b])).filter(|&(_, m)| m > 0.0).collect();
-    bins.sort_by(|a, b| b.1.total_cmp(&a.1));
-    bins.truncate(k);
-    bins.into_iter()
-        .map(|(bin, magnitude)| PeriodEstimate {
-            period: total / bin as f64,
-            bin,
-            magnitude,
-            snr: if median > 0.0 { magnitude / median } else { f64::INFINITY },
-        })
-        .collect()
-}
-
-/// The demeaned magnitude spectrum and total duration used for the bin→period
-/// mapping, for the chosen [`SpectrumPath`]. With `PaddedPow2` the spectrum
-/// (and the bin grid) is that of the zero-padded, power-of-two-length signal.
-fn banded_spectrum(signal: &[f64], sample_dt: f64, path: SpectrumPath) -> (Vec<f64>, f64) {
-    let mut demeaned = demean(signal);
-    if path == SpectrumPath::PaddedPow2 {
-        demeaned.resize(next_power_of_two(demeaned.len()), 0.0);
-    }
-    let total = demeaned.len() as f64 * sample_dt;
-    (magnitude_spectrum(&demeaned), total)
-}
-
-fn search(
-    signal: &[f64],
-    sample_dt: f64,
-    band: PeriodBand,
-    refine: bool,
-    path: SpectrumPath,
-) -> Option<PeriodEstimate> {
-    assert!(sample_dt > 0.0, "sample_dt must be positive");
-    let n = signal.len();
-    if n < 4 {
-        return None;
-    }
-    let (mags, total) = banded_spectrum(signal, sample_dt, path);
-
-    // Bin k corresponds to period total/k; the band maps to a bin range.
-    let lo_bin = ((total / band.max_period).ceil() as usize).max(1);
-    let hi_bin = ((total / band.min_period).floor() as usize).min(mags.len().saturating_sub(1));
-    if lo_bin > hi_bin {
-        return None;
-    }
-
-    let (mut best_bin, mut best_mag) = (lo_bin, mags[lo_bin]);
-    for (k, &mag) in mags.iter().enumerate().take(hi_bin + 1).skip(lo_bin) {
-        if mag > best_mag {
-            best_mag = mag;
-            best_bin = k;
-        }
-    }
-    if best_mag == 0.0 {
-        return None;
-    }
-
-    // Median magnitude in the band as the noise floor.
-    let mut band_mags: Vec<f64> = mags[lo_bin..=hi_bin].to_vec();
-    band_mags.sort_by(f64::total_cmp);
-    let median = band_mags[band_mags.len() / 2];
-    let snr = if median > 0.0 { best_mag / median } else { f64::INFINITY };
-
-    let mut bin_pos = best_bin as f64;
-    if refine && best_bin > lo_bin && best_bin < hi_bin {
-        // Parabolic (quadratic) interpolation on the three bins around the
-        // peak: offset = ½(α−γ)/(α−2β+γ).
-        let alpha = mags[best_bin - 1];
-        let beta = mags[best_bin];
-        let gamma = mags[best_bin + 1];
-        let denom = alpha - 2.0 * beta + gamma;
-        if denom.abs() > 1e-12 {
-            let delta = 0.5 * (alpha - gamma) / denom;
-            if delta.abs() <= 0.5 {
-                bin_pos += delta;
-            }
-        }
-    }
-
-    Some(PeriodEstimate { period: total / bin_pos, bin: best_bin, magnitude: best_mag, snr })
+    let mut out = Vec::new();
+    SignalWorkspace::new().band_candidates_into(
+        signal,
+        sample_dt,
+        band,
+        k,
+        SpectrumPath::Exact,
+        &mut out,
+    );
+    out
 }
 
 #[cfg(test)]
@@ -298,11 +156,16 @@ mod tests {
         assert!((est.period - 98.0).abs() < 1.0);
     }
 
+    /// The workspace search on an explicit spectrum path, refined or not.
+    fn search(sig: &[f64], refine: bool, path: SpectrumPath) -> Option<PeriodEstimate> {
+        SignalWorkspace::new().dominant_period(sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, refine, path)
+    }
+
     #[test]
     fn refinement_reduces_quantisation_error() {
         let sig = tone(3600, 98.0, 5.0, 15.0);
         let coarse = dominant_period(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS).unwrap();
-        let fine = dominant_period_refined(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS).unwrap();
+        let fine = search(&sig, true, SpectrumPath::Exact).unwrap();
         assert!(
             (fine.period - 98.0).abs() <= (coarse.period - 98.0).abs() + 1e-12,
             "refined {} vs coarse {}",
@@ -353,28 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn demean_removes_mean() {
-        let d = demean(&[1.0, 2.0, 3.0]);
-        assert!((d.iter().sum::<f64>()).abs() < 1e-12);
-        assert!(demean(&[]).is_empty());
-    }
-
-    #[test]
-    fn magnitude_spectrum_is_half_length() {
-        let sig = tone(128, 16.0, 1.0, 0.0);
-        let m = magnitude_spectrum(&sig);
-        assert_eq!(m.len(), 65);
-    }
-
-    #[test]
     fn padded_pow2_matches_exact_on_pow2_lengths() {
         // For a power-of-two window, padding is a no-op and the two paths
         // must agree bit for bit.
         let sig = tone(2048, 64.0, 5.0, 12.0);
         let exact = dominant_period(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS).unwrap();
-        let padded =
-            dominant_period_with(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, SpectrumPath::PaddedPow2)
-                .unwrap();
+        let padded = search(&sig, false, SpectrumPath::PaddedPow2).unwrap();
         assert_eq!(exact.bin, padded.bin);
         assert_eq!(exact.period.to_bits(), padded.period.to_bits());
         assert_eq!(exact.magnitude.to_bits(), padded.magnitude.to_bits());
@@ -386,9 +233,7 @@ mod tests {
         // path pads to 4096 and must still land within one padded bin of
         // the planted 98 s cycle.
         let sig = tone(3600, 98.0, 5.0, 15.0);
-        let est =
-            dominant_period_with(&sig, 1.0, PeriodBand::TRAFFIC_LIGHTS, SpectrumPath::PaddedPow2)
-                .unwrap();
+        let est = search(&sig, false, SpectrumPath::PaddedPow2).unwrap();
         // Padded bin grid: period = 4096/bin; bin 42 → 97.5 s.
         assert!((est.period - 98.0).abs() < 3.0, "got {}", est.period);
         assert!(est.snr > 5.0, "snr was {}", est.snr);
@@ -397,12 +242,14 @@ mod tests {
     #[test]
     fn padded_band_candidates_rank_planted_period_first() {
         let sig = tone(3600, 120.0, 6.0, 20.0);
-        let cands = band_candidates_with(
+        let mut cands = Vec::new();
+        SignalWorkspace::new().band_candidates_into(
             &sig,
             1.0,
             PeriodBand::TRAFFIC_LIGHTS,
             5,
             SpectrumPath::PaddedPow2,
+            &mut cands,
         );
         assert!(!cands.is_empty());
         assert!((cands[0].period - 120.0).abs() < 3.0, "got {}", cands[0].period);

@@ -1,23 +1,24 @@
-//! Precomputed FFT plans — the tables that [`crate::fft`] rebuilds on every
-//! call, hoisted out so a hot loop pays for them once per length.
+//! FFT plans: everything about a transform length that does not depend
+//! on the input, computed once and reused for every transform of that
+//! length.
 //!
 //! A fixed analysis window means the identification pipeline transforms the
 //! same handful of lengths thousands of times: the paper's 3600 s window
 //! (Bluestein, three radix-2 passes of length 8192), its `PaddedPow2`
 //! variant (4096), and the Bluestein-internal power of two. [`FftPlan`]
-//! captures everything about a length that is input-independent:
+//! captures:
 //!
-//! * radix-2: the per-stage twiddle factors, generated by the **same
-//!   incremental product chain** as [`crate::fft::fft_pow2_in_place`] so the
-//!   planned transform is bit-identical to the unplanned one;
+//! * radix-2: the per-stage twiddle factors, generated by an incremental
+//!   product chain;
 //! * Bluestein: the chirp sequence and the forward-FFT'd circular
-//!   `b`-sequence — both pure functions of `N` that
-//!   [`crate::fft::eq1_spectrum`] currently recomputes per call.
+//!   `b`-sequence, both pure functions of `N`.
 //!
-//! [`PlanCache`] memoises plans by length and counts hits/misses so the
-//! throughput benchmark can prove the cache is doing its job. Execution
-//! against a plan never allocates: callers supply the scratch buffer
-//! (normally owned by a `SignalWorkspace`).
+//! These are the only FFT bodies in the crate: the free functions in
+//! [`crate::fft`] build a plan per call. [`PlanCache`] memoises plans by
+//! length and counts hits/misses so the throughput benchmark can prove the
+//! cache is doing its job. Execution against a plan never allocates:
+//! callers supply the scratch buffer (normally owned by a
+//! `SignalWorkspace`).
 
 use crate::complex::Complex64;
 use crate::fft::{is_power_of_two, next_power_of_two};
@@ -45,9 +46,8 @@ fn lookup_counter(result: &'static str) -> Counter {
 ///
 /// Stage `s` (butterfly half-size `2^s`) stores the sequence
 /// `1, w, w², …` produced by repeated multiplication with
-/// `w = e^{-iπ/2^s}` — *not* a fresh `cis` per entry — because that is
-/// exactly how [`crate::fft::fft_pow2_in_place`] generates its twiddles and
-/// the planned transform must match it bit for bit.
+/// `w = e^{-iπ/2^s}` — *not* a fresh `cis` per entry. The golden digests
+/// in `tests/golden.rs` pin the bits this chain produces.
 #[derive(Debug, Clone)]
 pub struct Pow2Plan {
     n: usize,
@@ -90,8 +90,7 @@ impl Pow2Plan {
     }
 }
 
-/// In-place radix-2 FFT using a prebuilt [`Pow2Plan`] — bit-identical to
-/// [`crate::fft::fft_pow2_in_place`], allocation-free.
+/// In-place radix-2 FFT using a prebuilt [`Pow2Plan`], allocation-free.
 ///
 /// # Panics
 /// Panics when `buf.len()` differs from the plan's length.
@@ -102,7 +101,7 @@ pub fn fft_pow2_in_place_with(plan: &Pow2Plan, buf: &mut [Complex64]) {
         return;
     }
 
-    // Bit-reversal permutation (identical to the unplanned path).
+    // Bit-reversal permutation.
     let bits = n.trailing_zeros();
     for i in 0..n {
         let j = i.reverse_bits() >> (usize::BITS - bits);
@@ -147,7 +146,8 @@ impl BluesteinPlan {
         let m = next_power_of_two(2 * n - 1);
         let pow2 = Pow2Plan::new(m);
 
-        // Chirp with k² reduced mod 2n — identical to fft::bluestein.
+        // Chirp w_k = e^{-iπk²/n}, with k² reduced mod 2n to keep the
+        // angles accurate (e^{-iπk²/n} has period 2n in k²).
         let chirp: Vec<Complex64> = (0..n)
             .map(|k| {
                 let k2 = (k as u128 * k as u128) % (2 * n as u128);
@@ -179,8 +179,7 @@ impl BluesteinPlan {
     }
 
     /// Forward FFT of `buf` in place, using `scratch` as the length-`m`
-    /// convolution buffer. Bit-identical to the unplanned Bluestein path;
-    /// allocation-free once `scratch` has capacity `m`.
+    /// convolution buffer; allocation-free once `scratch` has capacity `m`.
     pub fn process(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         let n = self.n;
         assert_eq!(buf.len(), n, "plan is for length {n}, buffer has length {}", buf.len());
@@ -196,8 +195,7 @@ impl BluesteinPlan {
         crate::kernels::cmul_in_place(scratch, &self.b_fft);
 
         // Inverse FFT of the product, in place:
-        // IFFT(x) = conj(FFT(conj(x))) / m — elementwise identical to
-        // fft::ifft on a power-of-two length.
+        // IFFT(x) = conj(FFT(conj(x))) / m.
         crate::kernels::conj_in_place(scratch);
         fft_pow2_in_place_with(&self.pow2, scratch);
         let inv_m = 1.0 / m as f64;
@@ -242,7 +240,7 @@ impl FftPlan {
     }
 
     /// Forward FFT of `buf` in place. `scratch` is only touched on the
-    /// Bluestein path. Bit-identical to [`crate::fft::fft`].
+    /// Bluestein path.
     pub fn fft_in_place(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         match self {
             FftPlan::Pow2(p) => fft_pow2_in_place_with(p, buf),
@@ -250,16 +248,18 @@ impl FftPlan {
         }
     }
 
-    /// Inverse FFT of `buf` in place (including the `1/N` factor).
-    /// Bit-identical to [`crate::fft::ifft`].
+    /// Inverse FFT of `buf` in place (including the `1/N` factor):
+    /// `IFFT(x) = conj(FFT(conj(x))) / N`.
     pub fn ifft_in_place(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        let n = buf.len();
-        if n == 0 {
-            return;
-        }
         crate::kernels::conj_in_place(buf);
+        self.eq1_in_place(buf, scratch);
+    }
+
+    /// The paper's Eq. (1) transform of `buf` in place: positive exponent
+    /// and a `1/N` factor, i.e. `conj(FFT(x)) / N`.
+    pub fn eq1_in_place(&self, buf: &mut [Complex64], scratch: &mut Vec<Complex64>) {
         self.fft_in_place(buf, scratch);
-        let inv_n = 1.0 / n as f64;
+        let inv_n = 1.0 / buf.len() as f64;
         crate::kernels::conj_scale_in_place(buf, inv_n);
     }
 }
@@ -267,20 +267,17 @@ impl FftPlan {
 /// Hit/miss counters of a [`PlanCache`] — surfaced through `EngineStats`
 /// and the throughput report so a run can prove the plans were reused.
 ///
-/// Since the metrics registry landed this is a **view type**: every
-/// lookup is mirrored into the process-wide
-/// [`PLAN_CACHE_LOOKUPS_METRIC`] counters, and
-/// [`PlanCacheStats::from_registry`] reads them back. Prefer the
-/// [`hits()`](PlanCacheStats::hits) / [`misses()`](PlanCacheStats::misses)
-/// accessors over the public fields, which stay only for struct-literal
-/// construction (new direct field reads outside `signal::plan` are
-/// flagged by `ci/check_deprecated.sh`).
+/// A read-only **view type**: every lookup is mirrored into the
+/// process-wide [`PLAN_CACHE_LOOKUPS_METRIC`] counters, and
+/// [`PlanCacheStats::from_registry`] reads them back. The fields are
+/// private; read them through [`hits()`](PlanCacheStats::hits) /
+/// [`misses()`](PlanCacheStats::misses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PlanCacheStats {
     /// Lookups answered by an existing plan.
-    pub hits: u64,
+    hits: u64,
     /// Lookups that had to build a plan.
-    pub misses: u64,
+    misses: u64,
 }
 
 impl PlanCacheStats {
@@ -407,55 +404,6 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft;
-
-    fn bits(v: &[Complex64]) -> Vec<(u64, u64)> {
-        v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect()
-    }
-
-    fn signal(n: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|k| Complex64::new((k as f64 * 0.7).sin() * 12.0, (k as f64 * 1.3).cos() * 5.0))
-            .collect()
-    }
-
-    #[test]
-    fn pow2_plan_matches_unplanned_bitwise() {
-        for n in [1usize, 2, 4, 8, 64, 1024, 4096] {
-            let x = signal(n);
-            let mut planned = x.clone();
-            fft_pow2_in_place_with(&Pow2Plan::new(n), &mut planned);
-            let mut reference = x;
-            fft::fft_pow2_in_place(&mut reference);
-            assert_eq!(bits(&planned), bits(&reference), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn bluestein_plan_matches_unplanned_bitwise() {
-        // Non-power-of-two lengths only: that is the only route on which
-        // fft::fft dispatches to Bluestein (FftPlan::new does the same).
-        let mut scratch = Vec::new();
-        for n in [3usize, 5, 7, 12, 45, 97, 100, 3600] {
-            let x = signal(n);
-            let mut planned = x.clone();
-            BluesteinPlan::new(n).process(&mut planned, &mut scratch);
-            let reference = fft::fft(&x);
-            assert_eq!(bits(&planned), bits(&reference), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn plan_ifft_round_trips_bitwise_vs_free_ifft() {
-        let mut scratch = Vec::new();
-        for n in [4usize, 9, 60, 128] {
-            let spec = fft::fft(&signal(n));
-            let mut planned = spec.clone();
-            FftPlan::new(n).ifft_in_place(&mut planned, &mut scratch);
-            let reference = fft::ifft(&spec);
-            assert_eq!(bits(&planned), bits(&reference), "n = {n}");
-        }
-    }
 
     #[test]
     #[should_panic(expected = "power-of-two")]

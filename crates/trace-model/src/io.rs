@@ -98,7 +98,11 @@ impl<R: BufRead> LineReader<R> {
         &mut self,
         fleet: &mut Fleet,
     ) -> std::io::Result<Option<(usize, Result<TaxiRecord, CsvError>)>> {
-        while let Some(fits) = self.read_line()? {
+        while let Some(fits) = read_line_capped(&mut self.reader, &mut self.buf, LINE_BUF_BYTES)? {
+            if !fits {
+                // Consume the rest of the overlong line without keeping it.
+                self.reader.skip_until(b'\n')?;
+            }
             let line_no = self.line_no;
             self.line_no += 1;
             let decoded = if fits {
@@ -112,38 +116,48 @@ impl<R: BufRead> LineReader<R> {
         }
         Ok(None)
     }
+}
 
-    /// Reads the next line into `buf`, without its `\n`. Returns
-    /// `Some(false)` for a line that outgrew `LINE_BUF_BYTES` (consumed,
-    /// not kept) and `None` at end of input.
-    fn read_line(&mut self) -> std::io::Result<Option<bool>> {
-        self.buf.clear();
-        let mut fits = true;
-        let mut read_any = false;
-        loop {
-            let avail = match self.reader.fill_buf() {
-                Ok(avail) => avail,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            };
-            if avail.is_empty() {
-                break;
+/// Reads one line from `reader` into `buf` (cleared first), without its
+/// `\n`, holding at most `cap` bytes of it. Returns `Some(true)` for a
+/// line of at most `cap` bytes, `Some(false)` as soon as the line is known
+/// to be longer — having consumed exactly its first `cap` bytes and
+/// nothing after them — and `None` at end of input.
+pub fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<Option<bool>> {
+    buf.clear();
+    let mut read_any = false;
+    loop {
+        let avail = match reader.fill_buf() {
+            Ok(avail) => avail,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if avail.is_empty() {
+            return Ok(read_any.then_some(true));
+        }
+        read_any = true;
+        let room = cap - buf.len();
+        match avail.iter().position(|&b| b == b'\n') {
+            Some(k) if k <= room => {
+                buf.extend_from_slice(&avail[..k]);
+                reader.consume(k + 1);
+                return Ok(Some(true));
             }
-            read_any = true;
-            let (part, used, ended) = match avail.iter().position(|&b| b == b'\n') {
-                Some(k) => (&avail[..k], k + 1, true),
-                None => (avail, avail.len(), false),
-            };
-            fits &= self.buf.len() + part.len() <= LINE_BUF_BYTES;
-            if fits {
-                self.buf.extend_from_slice(part);
+            None if avail.len() <= room => {
+                let used = avail.len();
+                buf.extend_from_slice(avail);
+                reader.consume(used);
             }
-            self.reader.consume(used);
-            if ended {
-                break;
+            _ => {
+                buf.extend_from_slice(&avail[..room]);
+                reader.consume(room);
+                return Ok(Some(false));
             }
         }
-        Ok(read_any.then_some(fits))
     }
 }
 
