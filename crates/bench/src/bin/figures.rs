@@ -5,6 +5,7 @@
 //! ```text
 //! cargo run --release -p taxilight-bench --bin figures -- all
 //! cargo run --release -p taxilight-bench --bin figures -- fig14
+//! cargo run --release -p taxilight-bench --bin figures -- spectrum
 //! ```
 
 use taxilight_bench::{cdf_row, run_city_eval};
@@ -25,58 +26,44 @@ use taxilight_sim::{paper_city, SimConfig, Simulator};
 use taxilight_trace::stats::TraceStatistics;
 use taxilight_trace::time::Timestamp;
 
+/// Every subcommand, in the order `all` runs them.
+const FIGURES: &[(&str, fn())] = &[
+    ("fig1", fig1),
+    ("fig2", fig2),
+    ("table2", table2),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig13", fig13),
+    ("fig14", fig14),
+    ("fig16", fig16),
+    ("ablation", ablation),
+    ("density", density),
+    ("accuracy", accuracy),
+    ("robustness", robustness),
+    ("throughput", throughput),
+    ("kernels", kernels),
+    ("spectrum", spectrum),
+];
+
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let run = |name: &str, f: fn()| {
-        if arg == name || arg == "all" {
-            println!("\n================= {name} =================");
-            f();
-        }
-    };
-    run("fig1", fig1);
-    run("fig2", fig2);
-    run("table2", table2);
-    run("fig6", fig6);
-    run("fig7", fig7);
-    run("fig9", fig9);
-    run("fig10", fig10);
-    run("fig11", fig11);
-    run("fig12", fig12);
-    run("fig13", fig13);
-    run("fig14", fig14);
-    run("fig16", fig16);
-    run("ablation", ablation);
-    run("density", density);
-    run("accuracy", accuracy);
-    run("robustness", robustness);
-    run("throughput", throughput);
-    run("kernels", kernels);
-    if !matches!(
-        arg.as_str(),
-        "all"
-            | "fig1"
-            | "fig2"
-            | "table2"
-            | "fig6"
-            | "fig7"
-            | "fig9"
-            | "fig10"
-            | "fig11"
-            | "fig12"
-            | "fig13"
-            | "fig14"
-            | "fig16"
-            | "ablation"
-            | "density"
-            | "accuracy"
-            | "robustness"
-            | "throughput"
-            | "kernels"
-    ) {
+    let selected: Vec<&(&str, fn())> =
+        FIGURES.iter().filter(|(name, _)| arg == "all" || arg == *name).collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = FIGURES.iter().map(|(name, _)| *name).collect();
         eprintln!(
-            "unknown figure '{arg}'. One of: fig1 fig2 table2 fig6 fig7 fig9 fig10 fig11 fig12 fig13 fig14 fig16 ablation density accuracy robustness throughput kernels all"
+            "unknown figure '{arg}'\nusage: figures [all|{}]  (kernels also takes --quick)",
+            names.join("|")
         );
         std::process::exit(2);
+    }
+    for (name, run) in selected {
+        println!("\n================= {name} =================");
+        run();
     }
 }
 
@@ -120,6 +107,56 @@ fn kernels() {
     match std::fs::write(path, report.to_json()) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+}
+
+/// DESIGN.md's Eq.-(1) ablation: the paper's plain O(N²) DFT against the
+/// FFT that computes the same spectrum in O(N log N), on a 97-s tone at
+/// 512 points and at the 30- and 60-min 1 Hz grids. Each side is timed in
+/// a bin of 5 laps; the run exits 1 if any FFT bin differs from the DFT's
+/// by more than 1e-6·(1+|x|), the bound `fft_matches_dft_oracle` uses.
+fn spectrum() {
+    use std::hint::black_box;
+    use taxilight_bench::summary::{nproc, time_n};
+    use taxilight_signal::dft::dft_real;
+    use taxilight_signal::fft::eq1_spectrum;
+    const LAPS: usize = 5;
+    println!(
+        "nproc {}  arch {}  kernel path {}  ({LAPS} laps per bin)",
+        nproc(),
+        std::env::consts::ARCH,
+        taxilight_signal::kernels::active_path_name()
+    );
+    println!(
+        "{:>6} {:>14} {:>10} {:>14} {:>10} {:>9} {:>10}",
+        "n", "DFT median ms", "IQR ms", "FFT median ms", "IQR ms", "speedup", "gap/(1+|x|)"
+    );
+    let mut agree = true;
+    for n in [512usize, 1800, 3600] {
+        let signal: Vec<f64> =
+            (0..n).map(|k| (2.0 * std::f64::consts::PI * k as f64 / 97.0).sin() + 20.0).collect();
+        let (dft, dft_bin) = time_n(LAPS, |_| dft_real(black_box(&signal)));
+        let (fft, fft_bin) = time_n(LAPS, |_| eq1_spectrum(black_box(&signal)));
+        let (exact, fast) = (&dft[0], &fft[0]);
+        assert_eq!(exact.len(), fast.len(), "spectra of different lengths at n = {n}");
+        let mut worst = 0.0f64;
+        for (x, y) in exact.iter().zip(fast) {
+            let gap = (*y - *x).abs();
+            agree &= gap < 1e-6 * (1.0 + x.abs());
+            worst = worst.max(gap / (1.0 + x.abs()));
+        }
+        println!(
+            "{n:>6} {:>14.3} {:>10.3} {:>14.4} {:>10.4} {:>8.0}x {worst:>10.1e}",
+            dft_bin.median * 1e3,
+            dft_bin.iqr() * 1e3,
+            fft_bin.median * 1e3,
+            fft_bin.iqr() * 1e3,
+            dft_bin.median / fft_bin.median,
+        );
+    }
+    if !agree {
+        eprintln!("FAIL: the FFT spectrum differs from the Eq.-(1) DFT beyond 1e-6·(1+|x|)");
+        std::process::exit(1);
     }
 }
 

@@ -1,5 +1,10 @@
-//! Shared workloads and evaluation harnesses for the figure/table
-//! regeneration binary (`figures`) and the Criterion benches.
+//! Shared workloads and evaluation harnesses for the two binaries:
+//! `figures` regenerates the paper's tables and figures (plus the
+//! `ablation`, `spectrum` and `kernels` studies), and `throughput` runs
+//! the engine-throughput ([`throughput`]) and city-day ingestion
+//! ([`cityday`]) laps. [`summary`] holds the sample statistics every
+//! timed axis reports, the serving-path benchmark (`perfbench/`)
+//! included.
 //!
 //! Everything here is deterministic in the seeds it is given, so the
 //! printed tables in EXPERIMENTS.md are reproducible.
@@ -8,7 +13,6 @@
 
 pub mod cityday;
 pub mod kernels;
-pub mod serving;
 pub mod summary;
 pub mod throughput;
 

@@ -129,6 +129,17 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), 1.0);
         assert_eq!(percentile(&xs, 1.0), 5.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
+        assert_eq!(percentile(&[7.0], 0.99), 7.0);
+    }
+
+    #[test]
+    fn nearest_rank_of_a_hundred_samples() {
+        // rank = round((n−1)·q) of the ascending sort: p99 of 1..=100 is
+        // rank 98 → 99.0, the median is rank round(49.5) = 50 → 51.0.
+        let xs: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 0.99), 99.0);
+        let s = SampleSummary::from_samples(&xs);
+        assert_eq!((s.median, s.min, s.max), (51.0, 1.0, 100.0));
     }
 
     #[test]

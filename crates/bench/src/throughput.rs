@@ -49,8 +49,9 @@ pub struct ThroughputConfig {
     /// `k`× the taxis, so the thread ladder has enough work per shard for
     /// parallel laps to be meaningful on multi-core hardware.
     pub scale: usize,
-    /// Serial laps in the measurement bin (median/IQR/min/max are
-    /// reported; each lap is also checked bit-identical to the first).
+    /// Laps in every measurement bin — the serial bin and each
+    /// thread-ladder rung's (median/IQR/min/max are reported; every lap
+    /// is also checked bit-identical to the first serial lap).
     pub samples: usize,
     /// Thread counts for the scaling curve.
     pub thread_ladder: Vec<usize>,
@@ -103,13 +104,17 @@ impl ThroughputConfig {
     }
 }
 
-/// One timed lap of the sharded engine.
+/// One thread-ladder rung: the sharded engine timed over a bin of laps.
 #[derive(Debug, Clone)]
 pub struct LapTiming {
     /// Worker threads requested.
     pub threads: usize,
-    /// Wall-clock seconds for the full-city identify pass.
+    /// Full-city identify pass: the median of [`Self::bin`], wall-clock
+    /// seconds.
     pub elapsed_s: f64,
+    /// The rung's measurement bin: every lap's elapsed seconds (each lap
+    /// bit-checked against the serial pass).
+    pub bin: SampleSummary,
     /// True when the rung requested more threads than the machine has
     /// logical CPUs — its speedup cannot exceed the smaller rungs', so
     /// readers must not interpret it as a scaling plateau of the engine.
@@ -170,7 +175,7 @@ pub struct ThroughputReport {
     pub latency_ms_p95: f64,
     /// Batched real-time ingest (map-matching + buffering), seconds.
     pub ingest_elapsed_s: f64,
-    /// One lap per thread-ladder entry.
+    /// One bin per thread-ladder entry.
     pub scaling: Vec<LapTiming>,
 }
 
@@ -212,9 +217,10 @@ fn bits(
         .collect()
 }
 
-/// Runs the full throughput workload: simulate, preprocess, one serial
-/// lap, a per-light latency sweep, one sharded lap per ladder entry
-/// (each checked bit-identical to serial), and a batched ingest lap.
+/// Runs the full throughput workload: simulate, preprocess, a bin of
+/// serial laps, a per-light latency sweep, a bin of sharded laps per
+/// ladder entry (each lap checked bit-identical to serial), and a
+/// batched ingest lap.
 pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
     let scenario = cfg.scenario();
     let start = Timestamp::civil(2014, 12, 5, 9, 30, 0);
@@ -252,18 +258,20 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
         latencies_ms.push(elapsed_s * 1e3);
     }
 
-    // Scaling ladder, every lap checked bit-identical to serial. Rungs
-    // above the machine's logical CPU count are flagged saturated — they
-    // measure oversubscription, not the engine's scaling.
+    // Scaling ladder: a bin per rung, as many laps as the serial bin so
+    // the speedup compares two medians, every lap checked bit-identical
+    // to serial. Rungs above the machine's logical CPU count are flagged
+    // saturated — they measure oversubscription, not the engine's
+    // scaling.
     let nproc = summary::nproc();
     let mut scaling = Vec::with_capacity(cfg.thread_ladder.len());
     for &threads in &cfg.thread_ladder {
-        let (out, elapsed_s) = summary::time(|| {
-            let _lap = span!("bench.sharded_lap", threads = threads);
+        let (laps, bin) = summary::time_n(cfg.samples.max(1), |k| {
+            let _lap = span!("bench.sharded_lap", threads = threads, sample = k);
             engine.run(&parts, &IdentifyRequest::all(at).sharded(cfg.shards, threads))
         });
-        sharded_matches_serial &= bits(&out.results) == serial_bits;
-        scaling.push(LapTiming { threads, elapsed_s, saturated: threads > nproc });
+        sharded_matches_serial &= laps.iter().all(|lap| bits(&lap.results) == serial_bits);
+        scaling.push(LapTiming { threads, elapsed_s: bin.median, bin, saturated: threads > nproc });
     }
 
     // Batched real-time ingest lap over the same records in feed order.
@@ -345,6 +353,17 @@ fn rate(count: usize, elapsed_s: f64) -> f64 {
         count as f64 / elapsed_s
     } else {
         0.0
+    }
+}
+
+impl LapTiming {
+    /// Serial median over this rung's median; 0 for an empty rung.
+    fn speedup(&self, serial_elapsed_s: f64) -> f64 {
+        if self.elapsed_s > 0.0 {
+            serial_elapsed_s / self.elapsed_s
+        } else {
+            0.0
+        }
     }
 }
 
@@ -493,8 +512,11 @@ impl ThroughputReport {
             w.key("lights_per_s");
             w.f64(rate(self.lights, lap.elapsed_s));
             w.raw(",");
+            w.key("bin");
+            lap.bin.write_json(&mut w, "s");
+            w.raw(",");
             w.key("speedup");
-            w.f64(if lap.elapsed_s > 0.0 { self.serial_elapsed_s / lap.elapsed_s } else { 0.0 });
+            w.f64(lap.speedup(self.serial_elapsed_s));
             w.raw(",");
             w.key("saturated");
             w.raw(if lap.saturated { "true" } else { "false" });
@@ -566,11 +588,15 @@ impl ThroughputReport {
         ];
         for lap in &self.scaling {
             out.push(format!(
-                "sharded x{} threads: {:.3} s  ({:.0} records/s, speedup {:.2}x){}",
+                "sharded x{} threads: median {:.3} s over {} laps (IQR {:.3} s, min {:.3}, max {:.3})  ({:.0} records/s, speedup {:.2}x){}",
                 lap.threads,
                 lap.elapsed_s,
+                lap.bin.samples,
+                lap.bin.iqr(),
+                lap.bin.min,
+                lap.bin.max,
                 rate(self.records, lap.elapsed_s),
-                if lap.elapsed_s > 0.0 { self.serial_elapsed_s / lap.elapsed_s } else { 0.0 },
+                lap.speedup(self.serial_elapsed_s),
                 if lap.saturated {
                     format!("  [saturated: only {} logical CPUs]", self.nproc)
                 } else {
@@ -611,8 +637,18 @@ mod tests {
             latency_ms_p95: 42.0,
             ingest_elapsed_s: 0.5,
             scaling: vec![
-                LapTiming { threads: 1, elapsed_s: 2.5, saturated: false },
-                LapTiming { threads: 4, elapsed_s: 0.7, saturated: true },
+                LapTiming {
+                    threads: 1,
+                    elapsed_s: 2.5,
+                    bin: SampleSummary::from_samples(&[2.5, 2.6, 2.4]),
+                    saturated: false,
+                },
+                LapTiming {
+                    threads: 4,
+                    elapsed_s: 0.7,
+                    bin: SampleSummary::from_samples(&[0.7, 0.8, 0.6]),
+                    saturated: true,
+                },
             ],
         }
     }
@@ -663,6 +699,9 @@ mod tests {
         ] {
             assert!(json.contains(key), "throughput JSON missing {key}");
         }
+        // Every ladder rung carries its own bin, next to the serial one.
+        let (_, ladder) = json.split_once("\"scaling\"").unwrap();
+        assert_eq!(ladder.matches("\"bin\":{\"samples\":3,").count(), 2, "{ladder}");
         // The deterministic section is a literal prefix-slice of the full
         // report, so the two can never drift apart.
         let det = synthetic().deterministic_json();
@@ -715,8 +754,11 @@ mod tests {
         assert_eq!(a.serial_bin.samples, cfg.samples, "serial bin lost laps");
         assert!(a.serial_bin.min <= a.serial_elapsed_s && a.serial_elapsed_s <= a.serial_bin.max);
         assert!(a.nproc >= 1);
+        assert_eq!(a.scaling.len(), cfg.thread_ladder.len());
         for (lap, &threads) in a.scaling.iter().zip(&cfg.thread_ladder) {
             assert_eq!(lap.saturated, threads > a.nproc, "saturated flag wrong at x{threads}");
+            assert_eq!(lap.bin.samples, cfg.samples, "x{threads} bin lost laps");
+            assert_eq!(lap.elapsed_s, lap.bin.median, "x{threads} elapsed is not the median");
         }
         let b = run_throughput(&cfg);
         assert_eq!(

@@ -64,7 +64,7 @@ pub struct RobustnessPoint {
     pub median_red_bins: f64,
     /// Median circular red-onset error, seconds.
     pub median_change_err_s: f64,
-    /// Cycle-error CDF at [`SECONDS_THRESHOLDS`].
+    /// Cycle-error CDF at 1, 2, 5, 10, 20 and 40 s.
     pub cycle_err_cdf: Vec<(f64, f64)>,
     /// Fraction of comparable lights where a [`ScheduleMonitor`] fed the
     /// clean estimate then the corrupted estimate confirms a (spurious)

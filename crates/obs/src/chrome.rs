@@ -1,4 +1,4 @@
-//! [`ChromeTraceWriter`]: a [`Subscriber`](crate::Subscriber) that
+//! [`ChromeTraceWriter`]: a [`Subscriber`] that
 //! records spans and events as Chrome trace-event JSON — the format
 //! `chrome://tracing` and [Perfetto](https://ui.perfetto.dev) load
 //! natively, and the same one the `servo/perf-analysis-tools` pipeline

@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod generators;
-pub mod geojson;
 pub mod graph;
 pub mod io;
 pub mod routing;

@@ -27,7 +27,7 @@
 //!
 //! All scheduling derives from *record* timestamps, never the wall
 //! clock, so a replayed feed produces bit-identical answers — the
-//! property the serving bench gates.
+//! property `tests/daemon_e2e.rs` and perfbench's `live` workload check.
 
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

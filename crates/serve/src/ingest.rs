@@ -267,7 +267,7 @@ impl<R: Read> RecordSource for FeedSource<R> {
 }
 
 /// Re-encodes records in `format` for transmission to a feed socket —
-/// the generator half used by the serving bench and the smoke tests.
+/// the generator half of the daemon tests and the `feed_decode` example.
 pub fn encode_feed(
     records: &[TaxiRecord],
     fleet: &Fleet,

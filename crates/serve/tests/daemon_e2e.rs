@@ -9,15 +9,13 @@
 
 use std::io::{Cursor, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-use std::sync::Arc;
 
 use taxilight_core::realtime::RealtimeIdentifier;
 use taxilight_core::LightHealth;
 use taxilight_obs::flight::FlightRecorder;
-use taxilight_obs::json::{self, validate_flight_dump, Json};
+use taxilight_obs::json::{self, validate_flight_dump, validate_metrics, Json};
 use taxilight_roadnet::graph::{LightId, RoadNetwork};
 use taxilight_serve::ingest::encode_feed;
 use taxilight_serve::{Daemon, DaemonConfig, FeedFormat, FeedSource};
@@ -117,10 +115,17 @@ fn num(doc: &Json, key: &str) -> f64 {
 }
 
 /// Streams the feed, waits for drain, checks every query endpoint
-/// against the oracle, shuts the daemon down cleanly.
-fn run_case(format: FeedFormat, encoded: &str) {
+/// against the oracle, shuts the daemon down cleanly. With `flight`
+/// armed, the drained daemon's `/debug/flight` dump must also validate
+/// and carry the trigger fired after the drain.
+fn run_case(format: FeedFormat, encoded: &str, flight: Option<Arc<FlightRecorder>>) {
     let w = world();
-    let cfg = DaemonConfig { format, reorder_grace_s: 60, ..DaemonConfig::default() };
+    let cfg = DaemonConfig {
+        format,
+        reorder_grace_s: 60,
+        flight: flight.clone(),
+        ..DaemonConfig::default()
+    };
     let oracle = offline_replay(encoded, format, &w.net, &cfg);
     assert!(!oracle.schedules.is_empty(), "oracle identified nothing — scenario too small");
 
@@ -270,8 +275,19 @@ fn run_case(format: FeedFormat, encoded: &str) {
         assert_eq!(http_get(http_addr, "/lights/notanumber").0, 400);
         assert_eq!(http_get(http_addr, "/lights/999999").0, 404);
         assert_eq!(http_get(http_addr, "/nope").0, 404);
-        // No flight recorder configured in this case.
-        assert_eq!(http_get(http_addr, "/debug/flight").0, 404);
+        match &flight {
+            Some(recorder) => {
+                // Nothing fires after the drain, so the dump carries this
+                // trigger's reason.
+                let _ = recorder.trigger("e2e_drained");
+                let (status, body) = http_get(http_addr, "/debug/flight");
+                assert_eq!(status, 200);
+                let dump = json::parse(&body).expect("flight dump parses");
+                let summary = validate_flight_dump(&dump).expect("flight dump validates");
+                assert_eq!(summary.reason, "e2e_drained");
+            }
+            None => assert_eq!(http_get(http_addr, "/debug/flight").0, 404),
+        }
         let (status, metrics) = http_get(http_addr, "/metrics");
         assert_eq!(status, 200);
         assert!(metrics.contains("taxilightd_records_total"));
@@ -280,8 +296,10 @@ fn run_case(format: FeedFormat, encoded: &str) {
         assert!(metrics.contains("taxilight_build_info"));
         assert!(metrics.contains("taxilight_schedule_age_seconds"));
         assert!(metrics.contains("taxilight_lights_by_grade"));
-        let (status, _) = get_json(http_addr, "/metrics.json");
+        let (status, snapshot) = get_json(http_addr, "/metrics.json");
         assert_eq!(status, 200);
+        let summary = validate_metrics(&snapshot).unwrap_or_else(|e| panic!("/metrics.json: {e}"));
+        assert!(summary.volatile > 0, "/metrics.json has no volatile HTTP metrics");
 
         handle.shutdown();
         runner.join().unwrap().unwrap();
@@ -290,12 +308,14 @@ fn run_case(format: FeedFormat, encoded: &str) {
 
 #[test]
 fn daemon_csv_feed_matches_offline_replay() {
-    run_case(FeedFormat::Csv, &world().csv);
+    run_case(FeedFormat::Csv, &world().csv, None);
 }
 
+/// The same proof with a flight recorder armed: recording must not
+/// change an answer, and the drained daemon serves a valid dump.
 #[test]
 fn daemon_ndjson_feed_matches_offline_replay() {
-    run_case(FeedFormat::NdJson, &world().ndjson);
+    run_case(FeedFormat::NdJson, &world().ndjson, Some(Arc::new(FlightRecorder::new())));
 }
 
 /// Kill the feed before any round can fire: with no snapshot publish

@@ -254,3 +254,87 @@ fn newline_free_stream_is_one_bad_line_and_the_feed_goes_on() {
         assert_eq!(src.bad_line_total(), 1);
     }
 }
+
+mod arbitrary_bytes {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Byte strings weighted towards what both wire formats split and
+    /// nest on — `\n`, `,`, `{`, `"` — with whole CSV and ND-JSON record
+    /// lines mixed in so some records decode and the fleet grows, and
+    /// arbitrary bytes (non-UTF-8 included) for the rest.
+    fn feed_like_bytes() -> impl Strategy<Value = Vec<u8>> {
+        let (records, fleet) = feed(3, 4);
+        let csv = encode_log(&records, &fleet).unwrap();
+        let nd = encode_log_json(&records, &fleet).unwrap();
+        let lines: Vec<Vec<u8>> =
+            csv.lines().chain(nd.lines()).map(|l| format!("{l}\n").into_bytes()).collect();
+        prop::collection::vec((0usize..24, 0u8..=255), 0..256).prop_map(move |picks| {
+            let mut out = Vec::new();
+            for (pick, byte) in picks {
+                match pick {
+                    0..=3 => out.push(b'\n'),
+                    4..=5 => out.push(b','),
+                    6..=7 => out.push(b'{'),
+                    8..=9 => out.push(b'"'),
+                    10..=12 => out.extend_from_slice(&lines[byte as usize % lines.len()]),
+                    _ => out.push(byte),
+                }
+            }
+            out
+        })
+    }
+
+    /// Everything a [`FeedSource`] reports after reading `bytes` to EOF.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        records: Vec<TaxiRecord>,
+        bad: Vec<BadLine>,
+        record_total: u64,
+        bad_line_total: u64,
+        fleet_len: usize,
+    }
+
+    fn decode(bytes: &[u8], format: FeedFormat, chunk: usize) -> Result<Outcome, String> {
+        let mut src = FeedSource::new(Cursor::new(bytes), format, chunk);
+        let (records, bad) = collect_source(&mut src).map_err(|e| format!("{e:?}"))?;
+        let fleet_len = match &src {
+            FeedSource::Csv(s) => s.fleet().len(),
+            FeedSource::NdJson(s) => s.fleet().len(),
+        };
+        Ok(Outcome {
+            records,
+            bad,
+            record_total: src.record_total(),
+            bad_line_total: src.bad_line_total(),
+            fleet_len,
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn any_bytes_decode_alike_at_two_chunk_sizes(
+            bytes in feed_like_bytes(),
+            a in 1usize..4096,
+            b in 1usize..4096,
+        ) {
+            let lines = bytes.split(|&c| c == b'\n').count() as u64;
+            for format in [FeedFormat::Csv, FeedFormat::NdJson] {
+                let x = decode(&bytes, format, a);
+                prop_assert!(x.is_ok(), "{format:?} chunk {a}: {x:?}");
+                let y = decode(&bytes, format, b);
+                prop_assert!(y.is_ok(), "{format:?} chunk {b}: {y:?}");
+                let (x, y) = (x.unwrap(), y.unwrap());
+                prop_assert_eq!(&x, &y, "{:?}: chunk {} vs chunk {}", format, a, b);
+                prop_assert_eq!(x.record_total, x.records.len() as u64);
+                prop_assert_eq!(x.bad_line_total, x.bad.len() as u64);
+                prop_assert!(
+                    x.record_total + x.bad_line_total <= lines,
+                    "{format:?}: {} records + {} bad lines from {lines} lines",
+                    x.record_total,
+                    x.bad_line_total
+                );
+            }
+        }
+    }
+}

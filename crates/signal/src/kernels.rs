@@ -167,7 +167,7 @@ pub fn conj_scale_in_place(buf: &mut [Complex64], k: f64) {
 
 /// Piecewise-linear evaluation of `points` on the regular grid
 /// `t0, t0+dt, …` (`count` points) into `out` (cleared first),
-/// bit-identical to per-point [`crate::interpolate::linear_eval`] —
+/// bit-identical to per-point `interpolate::linear_eval` —
 /// including the boundary clamping — but using a monotone segment scan
 /// (`O(n + count)`) instead of a binary search per query when `dt > 0`.
 /// Bit-identity class.

@@ -16,7 +16,6 @@ pub mod corrupt;
 pub mod csv;
 pub mod geo;
 pub mod io;
-pub mod privacy;
 pub mod record;
 pub mod source;
 pub mod stats;

@@ -229,22 +229,6 @@ impl Fleet {
         (0..count).map(|_| self.register()).collect()
     }
 
-    /// Adds a fully specified taxi (e.g. parsed from CSV). Returns its id
-    /// or `None`, leaving the fleet unchanged, if a taxi with the same
-    /// plate already exists.
-    pub fn insert(
-        &mut self,
-        plate: &str,
-        device_id: u32,
-        sim: &str,
-        color: BodyColor,
-    ) -> Option<TaxiId> {
-        if self.find_by_plate(plate).is_some() {
-            return None;
-        }
-        Some(self.intern(plate, device_id, sim, color))
-    }
-
     /// The id of `plate`, learning it as a new taxi on first sight — the
     /// data centre's rule for a live feed. A known plate returns its id
     /// and ignores `device_id`, `sim` and `color`: the first sighting
@@ -376,12 +360,13 @@ mod tests {
     }
 
     #[test]
-    fn fleet_insert_rejects_duplicate_plate() {
+    fn fleet_intern_does_not_add_a_duplicate_plate() {
         let mut fleet = Fleet::new();
-        let id = fleet.insert("YB-90001", 1, "13800009000", BodyColor::Red).unwrap();
+        let id = fleet.intern("YB-90001", 1, "13800009000", BodyColor::Red);
+        let before: Vec<TaxiInfo> = fleet.iter().cloned().collect();
+        assert_eq!(fleet.intern("YB-90001", 2, "x", BodyColor::Blue), id);
+        assert_eq!(fleet.iter().cloned().collect::<Vec<_>>(), before);
         assert_eq!(fleet.info(id).unwrap().color, BodyColor::Red);
-        assert_eq!(fleet.insert("YB-90001", 2, "x", BodyColor::Blue), None);
-        assert_eq!(fleet.len(), 1);
     }
 
     /// Every id the fleet holds, by plate, checked against a linear scan
@@ -394,28 +379,28 @@ mod tests {
     }
 
     #[test]
-    fn fleet_insert_of_a_registered_plate_changes_nothing() {
+    fn fleet_intern_of_a_registered_plate_changes_nothing() {
         let mut fleet = Fleet::new();
         fleet.register_many(3);
         let before: Vec<TaxiInfo> = fleet.iter().cloned().collect();
-        assert_eq!(fleet.insert("YB-00002", 9, "sim", BodyColor::Silver), None);
+        assert_eq!(fleet.intern("YB-00002", 9, "sim", BodyColor::Silver), TaxiId(1));
         assert_eq!(fleet.iter().cloned().collect::<Vec<_>>(), before);
-        assert_eq!(fleet.find_by_plate("YB-00002"), Some(TaxiId(1)));
         // A new plate after registered ones takes the next dense id.
-        assert_eq!(fleet.insert("ZZ-1", 9, "sim", BodyColor::Silver), Some(TaxiId(3)));
+        assert_eq!(fleet.intern("ZZ-1", 9, "sim", BodyColor::Silver), TaxiId(3));
         assert_index_matches_scan(&fleet);
     }
 
     #[test]
-    fn fleet_register_over_an_inserted_plate_keeps_the_lowest_id() {
+    fn fleet_register_over_a_learned_plate_keeps_the_lowest_id() {
         let mut fleet = Fleet::new();
         // Id 0 takes the plate that registration will generate for id 1.
-        assert_eq!(fleet.insert("YB-00002", 7, "sim", BodyColor::Red), Some(TaxiId(0)));
+        assert_eq!(fleet.intern("YB-00002", 7, "sim", BodyColor::Red), TaxiId(0));
         assert_eq!(fleet.register(), TaxiId(1));
         assert_eq!(fleet.info(TaxiId(1)).unwrap().plate, "YB-00002");
         assert_eq!(fleet.len(), 2);
         assert_eq!(fleet.find_by_plate("YB-00002"), Some(TaxiId(0)));
-        assert_eq!(fleet.insert("YB-00002", 8, "sim", BodyColor::Blue), None);
+        assert_eq!(fleet.intern("YB-00002", 8, "sim", BodyColor::Blue), TaxiId(0));
+        assert_eq!(fleet.len(), 2);
         assert_index_matches_scan(&fleet);
     }
 
@@ -434,8 +419,6 @@ mod tests {
             (info.device_id, info.sim.as_str(), info.color),
             (11, "sim-a", BodyColor::Green)
         );
-        // `intern` and `insert` share one registry.
-        assert_eq!(fleet.insert("YB-8", 0, "", BodyColor::Yellow), None);
         assert_eq!(fleet.intern("YB-9", 13, "sim-c", BodyColor::Red), TaxiId(2));
         assert_index_matches_scan(&fleet);
     }
