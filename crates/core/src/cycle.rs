@@ -13,6 +13,7 @@
 use crate::config::{CycleMethod, IdentifyConfig};
 use crate::preprocess::LightObs;
 use crate::workspace::IdentifyWorkspace;
+use taxilight_obs::{span, Field, FieldValue};
 use taxilight_signal::interpolate::InterpolateError;
 use taxilight_signal::periodogram::PeriodEstimate;
 use taxilight_trace::time::Timestamp;
@@ -147,13 +148,18 @@ impl IdentifyWorkspace {
         if taxilight_signal::stats::stddev(&self.grid).unwrap_or(0.0) < 0.5 {
             return Err(CycleError::NoPeriodicity);
         }
+        // One spectrum yields both the argmax estimate and, for fold
+        // validation, the strongest DFT bins.
+        let fold_validate = cfg.cycle_method == CycleMethod::Dft && cfg.fold_validate;
         let est = match cfg.cycle_method {
-            CycleMethod::Dft => self.signal.dominant_period(
+            CycleMethod::Dft => self.signal.period_search(
                 &self.grid,
                 1.0,
                 cfg.band,
                 cfg.refine_peak,
                 cfg.spectrum,
+                if fold_validate { cfg.fold_candidates } else { 0 },
+                &mut self.candidates,
             ),
             CycleMethod::Autocorrelation => {
                 taxilight_signal::autocorr::dominant_period_autocorr(&self.grid, 1.0, cfg.band)
@@ -165,7 +171,7 @@ impl IdentifyWorkspace {
         }
         // The autocorrelation peak is already a time-domain statistic; it
         // bypasses the DFT-candidate fold validation below.
-        if cfg.cycle_method == CycleMethod::Autocorrelation || !cfg.fold_validate {
+        if !fold_validate {
             return Ok(CycleEstimate {
                 cycle_s: est.period,
                 bin: est.bin,
@@ -177,14 +183,6 @@ impl IdentifyWorkspace {
         // Fold validation: re-rank the strongest DFT bins (and their half,
         // third and quarter periods, so a sub-harmonic winner still exposes
         // its fundamental) by epoch-folding contrast on the *raw* samples.
-        self.signal.band_candidates_into(
-            &self.grid,
-            1.0,
-            cfg.band,
-            cfg.fold_candidates,
-            cfg.spectrum,
-            &mut self.candidates,
-        );
         // Subdivisions are pushed candidate-major, divisor-minor, after all
         // the DFT candidates; the dedup below and the first-maximum winner
         // depend on this order.
@@ -212,30 +210,54 @@ impl IdentifyWorkspace {
         // parent bin's quantisation — and removes the Eq. (2) integer-bin
         // quantisation from the final estimate.
         let samples = self.finite.as_slice();
-        let refine_period = |p0: f64| -> (f64, f64) {
-            let half_width = (p0 * p0 / window_len_s as f64).clamp(1.5, 8.0);
-            let mut best = (p0, crate::superpose::fold_contrast(samples, p0));
-            let steps = (2.0 * half_width / 0.25) as i64;
-            for k in 0..=steps {
-                let p = p0 - half_width + 0.25 * k as f64;
-                if p < cfg.band.min_period || p > cfg.band.max_period {
-                    continue;
-                }
-                let s = crate::superpose::fold_contrast(samples, p);
-                if s > best.1 {
-                    best = (p, s);
-                }
-            }
-            best
+        let fold_span =
+            span!("cycle.fold", samples = samples.len(), candidates = self.candidates.len());
+        let mut folds = 0u64;
+        let mut fold_at = |p: f64| {
+            folds += 1;
+            crate::superpose::fold_contrast(samples, p)
         };
-
         // Scored in candidate order; `max_by` keeps the last of equal
-        // scores.
+        // scores. The refinement depends only on the period, so a period
+        // bit-identical to an earlier candidate's (the k = 2 subdivision of
+        // bin b is bin 2b's period, halving being exact) copies that
+        // candidate's refined `(period, score)` and keeps its own `bin` and
+        // `snr`.
         self.scored.clear();
-        self.scored.extend(self.candidates.iter().map(|c| {
-            let (period, score) = refine_period(c.period);
-            Scored { period, score, bin: c.bin, snr: c.snr }
-        }));
+        for c in &self.candidates {
+            let p0 = c.period;
+            let earlier = self
+                .candidates
+                .iter()
+                .zip(&self.scored)
+                .find(|(e, _)| e.period.to_bits() == p0.to_bits());
+            let (period, score) = match earlier {
+                Some((_, s)) => (s.period, s.score),
+                None => {
+                    let half_width = (p0 * p0 / window_len_s as f64).clamp(1.5, 8.0);
+                    let mut best = (p0, fold_at(p0));
+                    let steps = (2.0 * half_width / 0.25) as i64;
+                    for k in 0..=steps {
+                        let p = p0 - half_width + 0.25 * k as f64;
+                        // A step landing on `p0` itself cannot beat the
+                        // strict `>`: its score is the starting one.
+                        if p < cfg.band.min_period
+                            || p > cfg.band.max_period
+                            || p.to_bits() == p0.to_bits()
+                        {
+                            continue;
+                        }
+                        let s = fold_at(p);
+                        if s > best.1 {
+                            best = (p, s);
+                        }
+                    }
+                    best
+                }
+            };
+            self.scored.push(Scored { period, score, bin: c.bin, snr: c.snr });
+        }
+        fold_span.end_with(&[Field { key: "folds", value: FieldValue::U64(folds) }]);
         let scored = &self.scored;
         let best_idx = (0..scored.len())
             .max_by(|&a, &b| scored[a].score.total_cmp(&scored[b].score))

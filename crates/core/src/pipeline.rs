@@ -268,13 +268,13 @@ pub(crate) fn identify_light_impl(
     );
     let near = ws.speed.len();
     let window_len = at.delta(t0) as usize;
-    let solo = {
+    let solo = |ws: &mut IdentifyWorkspace| {
         let speed = std::mem::take(&mut ws.speed);
         let r = ws.cycle_from_samples(&speed, window_len, cfg);
         ws.speed = speed;
         r
     };
-    let cycle_est = if near < cfg.enhance_below_samples || solo.is_err() {
+    let pooled = |ws: &mut IdentifyWorkspace| {
         let _enhance_span = span!("stage.enhance", light = light.0, near = near);
         intersection_pools_into(
             parts,
@@ -287,14 +287,20 @@ pub(crate) fn identify_light_impl(
             &mut ws.pool_perpendicular,
         );
         ws.mirror_enhance_pools();
-        // Prefer the pooled estimate — four approaches' worth of data —
-        // and fall back to the solo result when pooling fails outright.
         let merged = std::mem::take(&mut ws.enhanced);
-        let pooled = ws.cycle_from_samples(&merged, window_len, cfg);
+        let r = ws.cycle_from_samples(&merged, window_len, cfg);
         ws.enhanced = merged;
-        pooled.or(solo)
+        r
+    };
+    // A sparse light prefers the pooled estimate — four approaches' worth
+    // of data — and falls back to its own only when pooling fails
+    // outright, so its solo estimate is computed only then. A dense light
+    // pools only when its own estimate fails. Either way the answer is
+    // `pooled.or(solo)` whenever pooling ran.
+    let cycle_est = if near < cfg.enhance_below_samples {
+        pooled(ws).or_else(|_| solo(ws))
     } else {
-        solo
+        solo(ws).or_else(|solo_err| pooled(ws).or(Err(solo_err)))
     };
     drop(stage_span);
     ws.timings.add_cycle(stage_start.elapsed());
@@ -633,6 +639,118 @@ pub(crate) mod tests {
         assert!(median(&mut cycle_errs) < 8.0, "median cycle err {cycle_errs:?}");
         assert!(median(&mut red_errs) < 25.0, "median red err {red_errs:?}");
         assert!(median(&mut change_errs) < 30.0, "median change err {change_errs:?}");
+    }
+
+    /// The cycle stage of a sparse light answers `pooled.or(solo)`: the
+    /// pooled estimate when pooling succeeds, the solo one when only
+    /// pooling fails, and solo's error — booked under the cycle stage —
+    /// when both fail. Each case pins the whole `identify_light_impl`
+    /// result against the stages 2–3 answer for the expected estimate.
+    #[test]
+    fn sparse_light_answers_pooled_or_solo() {
+        use crate::cycle::{identify_cycle, identify_cycle_from_samples, CycleEstimate};
+        use crate::enhance::mirror_enhance;
+        use crate::health::FailureCounts;
+        use taxilight_signal::interpolate::merge_coincident;
+
+        let (city, _signals, parts, at) = simulated_world(PhasePlan::new(100, 45, 10), 120, 3600);
+        let net = &city.net;
+        // Every light takes the sparse path, pooling first.
+        let cfg = IdentifyConfig { enhance_below_samples: usize::MAX, ..IdentifyConfig::default() };
+        let t0 = at.offset(-(cfg.window_s as i64));
+        let window = at.delta(t0) as usize;
+        let identify = |parts: &PartitionedTraces, light: LightId, cfg: &IdentifyConfig| {
+            identify_light_impl(parts, net, light, at, cfg, &mut IdentifyWorkspace::new())
+        };
+        // What `identify_light_impl` answers once its cycle stage yields `est`.
+        let finish =
+            |parts: &PartitionedTraces, light, est: &CycleEstimate, cfg: &IdentifyConfig| {
+                let obs = parts.window(light, t0, at);
+                let mut ws = IdentifyWorkspace::new();
+                finish_identification(light, obs, t0, est.cycle_s, est.snr, cfg, &mut ws)
+            };
+        let pooled_of = |parts: &PartitionedTraces, light, cfg: &IdentifyConfig| {
+            let (mut primary, mut perpendicular) = (Vec::new(), Vec::new());
+            let r = cfg.influence_radius_m;
+            intersection_pools_into(parts, net, light, t0, at, r, &mut primary, &mut perpendicular);
+            identify_cycle_from_samples(&mirror_enhance(&primary, &perpendicular), window, cfg)
+        };
+        let solo_of = |parts: &PartitionedTraces, light, cfg: &IdentifyConfig| {
+            identify_cycle(parts.window(light, t0, at), t0, at, cfg)
+        };
+
+        // Pooling succeeds: the pooled estimate, not the solo one.
+        let mut pooled_cases = 0;
+        for light in parts.lights_with_data() {
+            let (Ok(pooled), Ok(solo)) =
+                (pooled_of(&parts, light, &cfg), solo_of(&parts, light, &cfg))
+            else {
+                continue;
+            };
+            let want = finish(&parts, light, &pooled, &cfg);
+            if want.is_err() || want == finish(&parts, light, &solo, &cfg) {
+                continue;
+            }
+            assert_eq!(identify(&parts, light, &cfg), want, "light {light:?}: pooled estimate");
+            pooled_cases += 1;
+        }
+        assert!(pooled_cases >= 2, "fixture has {pooled_cases} lights where pooling decides");
+
+        // A light alone at its intersection, every report sent twice: slot
+        // merging halves the pooled series but not the solo one, so a
+        // `min_samples` between the two fails only the pooling.
+        let doubled =
+            |obs: &[LightObs]| -> Vec<LightObs> { obs.iter().flat_map(|&o| [o, o]).collect() };
+        let alone = |light: LightId, obs: &[LightObs]| {
+            PartitionedTraces::from_buckets(net.light_count(), [(light, obs)])
+        };
+        let near = |obs: &[LightObs]| -> Vec<LightObs> {
+            obs.iter().filter(|o| o.dist_to_stop_m <= cfg.influence_radius_m).copied().collect()
+        };
+        let mut solo_cases = 0;
+        for light in parts.lights_with_data() {
+            let obs = doubled(parts.window(light, t0, at));
+            let lone = alone(light, &obs);
+            let distinct = merge_coincident(
+                &near(&obs)
+                    .iter()
+                    .map(|o| (o.time.delta(t0) as f64, o.speed_kmh))
+                    .collect::<Vec<_>>(),
+            )
+            .len();
+            let cfg = IdentifyConfig { min_samples: distinct + 1, ..cfg.clone() };
+            let Ok(solo) = solo_of(&lone, light, &cfg) else { continue };
+            assert_eq!(
+                pooled_of(&lone, light, &cfg),
+                Err(CycleError::TooFewSamples { have: distinct, need: distinct + 1 })
+            );
+            let want = finish(&lone, light, &solo, &cfg);
+            if want.is_err() {
+                continue;
+            }
+            assert_eq!(identify(&lone, light, &cfg), want, "light {light:?}: solo fallback");
+            solo_cases += 1;
+        }
+        assert!(solo_cases >= 1, "fixture has no light where only pooling fails");
+
+        // Both fail: solo's error (10 samples), not pooling's (5 merged).
+        let light = parts.lights_with_data()[0];
+        let mut seconds = near(parts.window(light, t0, at));
+        seconds.dedup_by_key(|o| o.time);
+        let few = doubled(&seconds[..5]);
+        let lone = alone(light, &few);
+        let solo_err = solo_of(&lone, light, &cfg).unwrap_err();
+        assert_eq!(solo_err, CycleError::TooFewSamples { have: 10, need: cfg.min_samples });
+        assert_eq!(
+            pooled_of(&lone, light, &cfg),
+            Err(CycleError::TooFewSamples { have: 5, need: cfg.min_samples })
+        );
+        let err = identify(&lone, light, &cfg).unwrap_err();
+        assert_eq!(err, IdentifyError::Cycle(solo_err));
+        // `/lights/{id}` books it under the cycle stage.
+        let mut failures = FailureCounts::default();
+        failures.record(&err);
+        assert_eq!((failures.cycle, failures.total()), (1, 1));
     }
 
     #[test]

@@ -82,6 +82,7 @@ fn instrumented_run_produces_valid_trace_and_metrics() {
         "\"stage.change\"",
         "\"signal.resample\"",
         "\"signal.dft\"",
+        "\"cycle.fold\"",
         "\"superpose.profile\"",
         "\"change_point.search\"",
         "\"realtime.round\"",

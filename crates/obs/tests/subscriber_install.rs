@@ -9,7 +9,9 @@ use std::sync::Arc;
 
 use taxilight_obs::chrome::ChromeTraceWriter;
 use taxilight_obs::json::{parse, validate_chrome_trace, Json};
-use taxilight_obs::{event, set_subscriber, set_track_name, span, with_subscriber};
+use taxilight_obs::{
+    event, set_subscriber, set_track_name, span, with_subscriber, Field, FieldValue,
+};
 
 #[test]
 fn macros_reach_installed_subscriber() {
@@ -29,13 +31,16 @@ fn macros_reach_installed_subscriber() {
             event!("plan", result = "hit", len = 3600usize);
         }
         event!("light.done", light = 42u64, estimate = 98.5f64, ok = true);
+        // Closed early with end fields: exactly one end, carrying them.
+        let counted = span!("cycle.fold", samples = 7usize);
+        counted.end_with(&[Field { key: "folds", value: FieldValue::U64(13) }]);
     }
     with_subscriber(|s| s.flush());
 
     let json = writer.to_json();
     let doc = parse(&json).expect("trace must be valid JSON");
     let summary = validate_chrome_trace(&doc).expect("trace must validate");
-    assert_eq!(summary.spans, 2);
+    assert_eq!(summary.spans, 3);
     assert_eq!(summary.instants, 2);
     assert_eq!(summary.named_tracks, 1);
 
@@ -60,4 +65,16 @@ fn macros_reach_installed_subscriber() {
         .expect("light.done instant present");
     assert_eq!(done.get("args").and_then(|a| a.get("estimate")).and_then(Json::as_f64), Some(98.5));
     assert_eq!(done.get("args").and_then(|a| a.get("ok")), Some(&Json::Bool(true)));
+    let fold_ends: Vec<&Json> = events
+        .iter()
+        .filter(|e| {
+            e.get("name").and_then(Json::as_str) == Some("cycle.fold")
+                && e.get("ph").and_then(Json::as_str) == Some("E")
+        })
+        .collect();
+    assert_eq!(fold_ends.len(), 1, "end_with must close the span exactly once");
+    assert_eq!(
+        fold_ends[0].get("args").and_then(|a| a.get("folds")).and_then(Json::as_f64),
+        Some(13.0)
+    );
 }

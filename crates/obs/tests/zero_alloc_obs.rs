@@ -1,7 +1,7 @@
-//! Counting-allocator proof that `span!`/`event!` with **no subscriber
-//! installed** perform zero heap allocations — the obs half of the
-//! workspace-wide zero-alloc contract (the core half lives in
-//! `crates/core/tests/zero_alloc.rs`).
+//! Counting-allocator proof that `span!`/`event!` (and
+//! `SpanGuard::end_with`) with **no subscriber installed** perform zero
+//! heap allocations — the obs half of the workspace-wide zero-alloc
+//! contract (the core half lives in `crates/core/tests/zero_alloc.rs`).
 //!
 //! Gated behind the test-only `alloc-counter` feature so the global
 //! allocator swap never leaks into ordinary test runs:
@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use proptest::prelude::*;
-use taxilight_obs::{event, span};
+use taxilight_obs::{event, span, Field, FieldValue};
 
 thread_local! {
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -83,6 +83,8 @@ proptest! {
             {
                 let _inner = span!("stage.cycle", estimate = estimate);
                 event!("plan", light = light, hit = hit);
+                let counted = span!("cycle.fold", light = light);
+                counted.end_with(&[Field { key: "folds", value: FieldValue::U64(light) }]);
             }
             event!("light.done", light = light, estimate = estimate, hit = hit);
         }

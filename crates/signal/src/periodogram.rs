@@ -16,9 +16,11 @@
 //! paper's integer-bin estimator is the default and the refinement is an
 //! extension benchmarked as a DESIGN.md ablation.
 //!
-//! The search itself is [`SignalWorkspace::dominant_period`] and
-//! [`SignalWorkspace::band_candidates_into`]; the free functions here wrap
-//! them with a fresh workspace per call.
+//! The search itself is one body, [`SignalWorkspace::period_search`]: a
+//! single spectrum per call yields both the argmax estimate and the top-k
+//! candidates. [`SignalWorkspace::dominant_period`] and
+//! [`SignalWorkspace::band_candidates_into`] call it for one of the two,
+//! and the free functions here wrap those with a fresh workspace per call.
 
 use crate::SignalWorkspace;
 

@@ -9,10 +9,15 @@
 //! functions [`crate::interpolate::resample`],
 //! [`crate::periodogram::dominant_period`] and
 //! [`crate::periodogram::band_candidates`] wrap them with a fresh
-//! workspace per call. After a warmup call per signal shape, the methods
-//! perform **zero heap allocations**; the golden digests in
-//! `tests/golden.rs` pin their output bits, for a fresh workspace and for
-//! one reused across calls.
+//! workspace per call. The period search has one body,
+//! [`SignalWorkspace::period_search`]: one spectrum per call, from which
+//! it returns the argmax estimate and ranks the top-k candidates;
+//! [`SignalWorkspace::dominant_period`] and
+//! [`SignalWorkspace::band_candidates_into`] each call it for one of the
+//! two. No spectrum is kept from one call to the next. After a warmup
+//! call per signal shape, the methods perform **zero heap allocations**;
+//! the golden digests in `tests/golden.rs` pin their output bits, for a
+//! fresh workspace and for one reused across calls.
 //!
 //! Ownership rule: one workspace per thread. The type is deliberately not
 //! `Sync`-shareable state — give each worker its own and reuse it across
@@ -84,7 +89,8 @@ impl SignalWorkspace {
 
     /// Finds the dominant period of `signal` sampled every `sample_dt`
     /// seconds, searching only periods inside `band`, over the spectrum
-    /// `path` selects.
+    /// `path` selects: [`period_search`](Self::period_search) without
+    /// candidates.
     ///
     /// Implements Eq. (2): the winning bin `n` maps to period `N·dt/n`.
     /// With `refine`, parabolic interpolation around the winning bin gives
@@ -102,10 +108,70 @@ impl SignalWorkspace {
         refine: bool,
         path: SpectrumPath,
     ) -> Option<PeriodEstimate> {
+        self.period_search(signal, sample_dt, band, refine, path, 0, &mut Vec::new())
+    }
+
+    /// The `k` strongest in-band bins into `out` (cleared first), strongest
+    /// first, each with its Eq. (2) period and its magnitude over the band
+    /// median as `snr`: [`period_search`](Self::period_search) without the
+    /// argmax estimate. Used when the raw argmax is ambiguous and the
+    /// caller re-ranks candidates with an orthogonal criterion (e.g.
+    /// epoch-folding contrast).
+    ///
+    /// # Panics
+    /// Panics when `sample_dt` is not positive.
+    pub fn band_candidates_into(
+        &mut self,
+        signal: &[f64],
+        sample_dt: f64,
+        band: PeriodBand,
+        k: usize,
+        path: SpectrumPath,
+        out: &mut Vec<PeriodEstimate>,
+    ) {
+        self.period_search(signal, sample_dt, band, false, path, k, out);
+    }
+
+    /// The period search over one Eq. (1) spectrum of `signal`: returns
+    /// the [`dominant_period`](Self::dominant_period) estimate and writes
+    /// the [`band_candidates_into`](Self::band_candidates_into) ranking of
+    /// the `k` strongest in-band bins into `out` (cleared first). A caller
+    /// that needs both pays for one transform and one sort of the band;
+    /// nothing of the spectrum outlives the call.
+    ///
+    /// # Panics
+    /// Panics when `sample_dt` is not positive.
+    #[allow(clippy::too_many_arguments)]
+    pub fn period_search(
+        &mut self,
+        signal: &[f64],
+        sample_dt: f64,
+        band: PeriodBand,
+        refine: bool,
+        path: SpectrumPath,
+        k: usize,
+        out: &mut Vec<PeriodEstimate>,
+    ) -> Option<PeriodEstimate> {
         assert!(sample_dt > 0.0, "sample_dt must be positive");
+        out.clear();
         let _span = span!("signal.dft", n = signal.len(), refine = refine);
         let (total, lo_bin, hi_bin, median) = self.in_band(signal, sample_dt, band, path)?;
         let mags = &self.mags;
+        let snr_of = |mag: f64| if median > 0.0 { mag / median } else { f64::INFINITY };
+        if k > 0 {
+            self.bins.clear();
+            self.bins.extend((lo_bin..=hi_bin).map(|b| (b, mags[b])).filter(|&(_, m)| m > 0.0));
+            // Descending magnitude; equal magnitudes rank by ascending bin.
+            self.bins.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            self.bins.truncate(k);
+            out.extend(self.bins.iter().map(|&(bin, magnitude)| PeriodEstimate {
+                period: total / bin as f64,
+                bin,
+                magnitude,
+                snr: snr_of(magnitude),
+            }));
+        }
+
         let (mut best_bin, mut best_mag) = (lo_bin, mags[lo_bin]);
         for (k, &mag) in mags.iter().enumerate().take(hi_bin + 1).skip(lo_bin) {
             if mag > best_mag {
@@ -116,7 +182,6 @@ impl SignalWorkspace {
         if best_mag == 0.0 {
             return None;
         }
-        let snr = if median > 0.0 { best_mag / median } else { f64::INFINITY };
 
         let mut bin_pos = best_bin as f64;
         if refine && best_bin > lo_bin && best_bin < hi_bin {
@@ -134,47 +199,12 @@ impl SignalWorkspace {
             }
         }
 
-        Some(PeriodEstimate { period: total / bin_pos, bin: best_bin, magnitude: best_mag, snr })
-    }
-
-    /// The `k` strongest in-band bins into `out` (cleared first), strongest
-    /// first, each with its Eq. (2) period and its magnitude over the band
-    /// median as `snr`. Used when the raw argmax is ambiguous and the
-    /// caller re-ranks candidates with an orthogonal criterion (e.g.
-    /// epoch-folding contrast).
-    ///
-    /// # Panics
-    /// Panics when `sample_dt` is not positive.
-    pub fn band_candidates_into(
-        &mut self,
-        signal: &[f64],
-        sample_dt: f64,
-        band: PeriodBand,
-        k: usize,
-        path: SpectrumPath,
-        out: &mut Vec<PeriodEstimate>,
-    ) {
-        assert!(sample_dt > 0.0, "sample_dt must be positive");
-        out.clear();
-        if k == 0 {
-            return;
-        }
-        let Some((total, lo_bin, hi_bin, median)) = self.in_band(signal, sample_dt, band, path)
-        else {
-            return;
-        };
-        let mags = &self.mags;
-        self.bins.clear();
-        self.bins.extend((lo_bin..=hi_bin).map(|b| (b, mags[b])).filter(|&(_, m)| m > 0.0));
-        // Descending magnitude; equal magnitudes rank by ascending bin.
-        self.bins.sort_unstable_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        self.bins.truncate(k);
-        out.extend(self.bins.iter().map(|&(bin, magnitude)| PeriodEstimate {
-            period: total / bin as f64,
-            bin,
-            magnitude,
-            snr: if median > 0.0 { magnitude / median } else { f64::INFINITY },
-        }));
+        Some(PeriodEstimate {
+            period: total / bin_pos,
+            bin: best_bin,
+            magnitude: best_mag,
+            snr: snr_of(best_mag),
+        })
     }
 
     /// [`crate::interpolate::merge_coincident`] into `out`, with the sort
