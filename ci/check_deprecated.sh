@@ -12,8 +12,8 @@ cd "$(dirname "$0")/.."
 # exist in code.
 ALLOW='^docs/api\.md:|^docs/serving\.md:|^README\.md:|^CHANGES\.md:|^ISSUE\.md:|^ci/check_deprecated\.sh:'
 
-# Call sites look like `identify_all(` / `.try_identify(`; the _impl /
-# _seq internals and identify_now are distinct names and don't match.
+# Call sites look like `identify_all(` / `.try_identify(`; the _impl
+# internals are distinct names and don't match.
 PATTERN='\b(identify_all|identify_light|identify_light_with_cycle|try_identify)\('
 
 hits=$(grep -rEn "$PATTERN" \

@@ -574,7 +574,8 @@ fn fig12() {
         .into_iter()
         .max_by_key(|&l| parts.observations(l).len())
         .expect("light with data");
-    let mut monitor = ScheduleMonitor::new(600);
+    let mut monitor = ScheduleMonitor::new(20.0, 2);
+    let mut samples = Vec::new();
     let mut t = start.offset(cfg.window_s as i64);
     while t <= start.offset(5 * 3600) {
         let cycle = engine
@@ -583,14 +584,15 @@ fn fig12() {
             .ok()
             .map(|e| e.cycle_s);
         monitor.push(t, cycle);
+        samples.push((t, cycle));
         t = t.offset(600);
     }
     println!("cycle re-estimates every 10 min (truth: 90 s, 150 s in 07:00–09:00):");
-    for s in monitor.history() {
-        let shown = s.cycle_s.map(|c| format!("{c:6.1}")).unwrap_or_else(|| "    --".into());
-        println!("  {} {shown}", &s.at.format()[11..16]);
+    for (at, cycle) in samples {
+        let shown = cycle.map(|c| format!("{c:6.1}")).unwrap_or_else(|| "    --".into());
+        println!("  {} {shown}", &at.format()[11..16]);
     }
-    for e in monitor.detect_changes(20.0, 2) {
+    for e in monitor.changes() {
         println!(
             "detected change at {}: {:.0} s → {:.0} s",
             e.at.format(),

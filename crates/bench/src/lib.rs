@@ -9,6 +9,7 @@
 //! Everything here is deterministic in the seeds it is given, so the
 //! printed tables in EXPERIMENTS.md are reproducible.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cityday;

@@ -46,8 +46,7 @@ use taxilight_obs::{event, span};
 
 use crate::config::{ConfigError, IdentifyConfig};
 use crate::pipeline::{
-    identify_all_seq, identify_light_impl, identify_light_with_cycle_impl, IdentifyError,
-    LightSchedule,
+    identify_light_impl, identify_light_with_cycle_impl, IdentifyError, LightSchedule,
 };
 use crate::preprocess::PartitionedTraces;
 use crate::workspace::{IdentifyWorkspace, StageTimings};
@@ -259,8 +258,12 @@ impl<'a> Identifier<'a> {
         Identifier { net, cfg: IdentifyConfig::default(), pool: Mutex::new(Vec::new()) }
     }
 
-    /// Skips validation — only for the deprecated shims, which predate
-    /// config validation and must keep their exact historical behaviour.
+    /// Skips validation. Its one caller is [`RealtimeIdentifier::new`], the
+    /// streaming engine's unvalidated constructor; the validating path
+    /// there is [`RealtimeIdentifier::builder`].
+    ///
+    /// [`RealtimeIdentifier::new`]: crate::realtime::RealtimeIdentifier::new
+    /// [`RealtimeIdentifier::builder`]: crate::realtime::RealtimeIdentifier::builder
     pub(crate) fn new_unchecked(net: &'a RoadNetwork, cfg: IdentifyConfig) -> Self {
         Identifier { net, cfg, pool: Mutex::new(Vec::new()) }
     }
@@ -472,18 +475,6 @@ impl<'a> Identifier<'a> {
         merged.sort_by_key(|(l, _)| l.0);
         (merged, used)
     }
-}
-
-/// Sequential reference run over all lights with data, without consensus —
-/// used by the equivalence tests to cross-check [`Identifier::run`]
-/// against the pre-engine semantics.
-pub fn reference_serial(
-    parts: &PartitionedTraces,
-    net: &RoadNetwork,
-    at: Timestamp,
-    cfg: &IdentifyConfig,
-) -> Vec<(LightId, Result<LightSchedule, IdentifyError>)> {
-    identify_all_seq(parts, net, at, cfg)
 }
 
 #[cfg(test)]

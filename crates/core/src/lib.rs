@@ -23,13 +23,13 @@
 //!    execution (the paper notes per-light analysis "can be easily
 //!    paralleled" after partitioning).
 //! 8. [`monitor`] — scheduling-change identification by continuous 5-minute
-//!    cycle re-estimation with outlier rejection and day-over-day
-//!    correction (Fig. 12).
+//!    cycle re-estimation with median-filter outlier rejection (Fig. 12).
 //! 9. [`evaluate`] — the error metrics of Figs. 13–14.
 //! 10. [`view`] — [`ScheduleView`], the immutable versioned snapshot every
 //!     schedule consumer (serving daemon, navsim, eval) queries instead of
 //!     borrowing the mutable [`realtime::RealtimeIdentifier`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod change_point;

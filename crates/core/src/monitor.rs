@@ -2,21 +2,28 @@
 //!
 //! The system re-estimates the cycle length every 5 minutes. The resulting
 //! series has obvious outliers (the frequency-domain estimator is "either
-//! very accurate, or has notable errors") which a median filter removes;
-//! a *persistent* level shift in the cleaned series is a scheduling change
-//! (peak/off-peak programme switch). Because "this traffic light uses
-//! similar scheduling policy at the same time of different day", a
-//! historical day-over-day median corrects the current estimate.
+//! very accurate, or has notable errors") which a median-of-5 filter
+//! removes; a *persistent* level shift in the cleaned series is a
+//! scheduling change (peak/off-peak programme switch).
+//!
+//! [`ScheduleMonitor`] detects those shifts incrementally, in state that
+//! does not grow with the number of samples: the five newest samples (the
+//! reach of the median window), the detector's level and its deviation
+//! run, and the confirmed events. The paper's day-over-day correction of
+//! the current estimate is not applied.
 
 use taxilight_trace::time::Timestamp;
 
+/// Width of the centred median filter applied to the cycle series.
+const WINDOW: usize = 5;
+
 /// One monitoring sample: a periodic cycle re-estimate (or a failed one).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonitorSample {
+#[derive(Debug, Clone, Copy)]
+struct MonitorSample {
     /// When the estimate was made.
-    pub at: Timestamp,
+    at: Timestamp,
     /// The cycle estimate; `None` when identification failed in this slot.
-    pub cycle_s: Option<f64>,
+    cycle_s: Option<f64>,
 }
 
 /// A detected scheduling change.
@@ -30,76 +37,162 @@ pub struct ChangeEvent {
     pub to_cycle_s: f64,
 }
 
-/// Continuous monitor for one light.
+/// The level-shift detector over the smoothed series.
 #[derive(Debug, Clone)]
-pub struct ScheduleMonitor {
-    /// Nominal re-estimation period (the paper's 5 minutes).
-    pub interval_s: u32,
-    history: Vec<MonitorSample>,
+struct Detector {
+    tolerance_s: f64,
+    /// At least 1.
+    persistence: usize,
+    /// Current stable level; `None` until the first valid smoothed sample.
+    level: Option<f64>,
+    /// Consecutive smoothed samples deviating from `level`; always shorter
+    /// than the persistence between steps.
+    run: Vec<(Timestamp, f64)>,
 }
 
-impl Default for ScheduleMonitor {
-    fn default() -> Self {
-        ScheduleMonitor::new(300)
+impl Detector {
+    /// Steps over one valid smoothed sample, appending a confirmed change
+    /// to `events`: a change is confirmed when `persistence` consecutive
+    /// samples each deviate from the level by more than `tolerance_s`, and
+    /// the new level is the median of that run.
+    fn step(&mut self, at: Timestamp, c: f64, events: &mut Vec<ChangeEvent>) {
+        let Some(level) = self.level else {
+            self.level = Some(c);
+            return;
+        };
+        if (c - level).abs() > self.tolerance_s {
+            self.run.push((at, c));
+            if self.run.len() >= self.persistence {
+                let start = self.run[0].0;
+                // `total_cmp` ties only identical values, so sorting in
+                // place picks the same median as sorting a copy would.
+                self.run.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
+                let new_level = self.run[self.run.len() / 2].1;
+                events.push(ChangeEvent { at: start, from_cycle_s: level, to_cycle_s: new_level });
+                self.level = Some(new_level);
+                self.run.clear();
+            }
+        } else {
+            self.run.clear();
+        }
     }
+}
+
+/// Continuous change monitor for one light.
+#[derive(Debug, Clone)]
+pub struct ScheduleMonitor {
+    /// The newest samples, oldest first. A slot not yet filled holds a
+    /// failed sample at the start of time, which no median counts.
+    recent: [MonitorSample; WINDOW],
+    /// Detector state after every sample whose median window is complete.
+    detector: Detector,
+    /// Changes confirmed over those samples.
+    events: Vec<ChangeEvent>,
 }
 
 impl ScheduleMonitor {
-    /// Creates a monitor with the given re-estimation period.
-    pub fn new(interval_s: u32) -> Self {
-        ScheduleMonitor { interval_s, history: Vec::new() }
+    /// Creates a monitor that reports a change once `persistence` (at
+    /// least 1) consecutive smoothed estimates each deviate from the
+    /// current stable level by more than `tolerance_s`.
+    pub fn new(tolerance_s: f64, persistence: usize) -> Self {
+        let persistence = persistence.max(1);
+        ScheduleMonitor {
+            recent: [MonitorSample { at: Timestamp(i64::MIN), cycle_s: None }; WINDOW],
+            detector: Detector {
+                tolerance_s,
+                persistence,
+                level: None,
+                run: Vec::with_capacity(persistence),
+            },
+            events: Vec::new(),
+        }
     }
 
-    /// Appends a sample (samples must arrive in time order).
+    /// Appends a sample (samples must arrive in time order). Constant work;
+    /// allocates only when it confirms a change.
     ///
     /// # Panics
     /// Panics when `at` is earlier than the previous sample.
     pub fn push(&mut self, at: Timestamp, cycle_s: Option<f64>) {
-        if let Some(last) = self.history.last() {
-            assert!(at >= last.at, "monitor samples must be time-ordered");
+        assert!(at >= self.recent[WINDOW - 1].at, "monitor samples must be time-ordered");
+        self.recent.copy_within(1.., 0);
+        self.recent[WINDOW - 1] = MonitorSample { at, cycle_s };
+        // The sample two behind the newest now has its whole window.
+        if let Some(c) = self.smoothed_at(WINDOW - 3) {
+            let at = self.recent[WINDOW - 3].at;
+            self.detector.step(at, c, &mut self.events);
         }
-        self.history.push(MonitorSample { at, cycle_s });
     }
 
-    /// The raw history.
-    pub fn history(&self) -> &[MonitorSample] {
-        &self.history
+    /// Every scheduling change detected so far, oldest first: the
+    /// confirmed ones, then any that the two newest samples confirm on
+    /// their still-incomplete median windows. A later sample can withdraw
+    /// one of the latter.
+    pub fn changes(&self) -> Vec<ChangeEvent> {
+        let mut events = self.events.clone();
+        let mut detector = self.detector.clone();
+        for pos in WINDOW - 2..WINDOW {
+            if let Some(c) = self.smoothed_at(pos) {
+                let at = self.recent[pos].at;
+                detector.step(at, c, &mut events);
+            }
+        }
+        events
     }
 
-    /// Median-of-`k` filtered history: each valid sample is replaced by the
-    /// median of the valid samples in a centred window of `k` (odd)
-    /// samples; failed slots stay `None`. Removes Fig. 12's isolated
-    /// outliers without smearing genuine level shifts.
-    ///
-    /// # Panics
-    /// Panics when `k` is even or zero.
-    pub fn smoothed(&self, k: usize) -> Vec<MonitorSample> {
+    /// Median of the valid samples in the centred window around
+    /// `recent[pos]` (`pos` at least `WINDOW / 2`), cut off at the newest
+    /// sample; `None` when that sample failed.
+    fn smoothed_at(&self, pos: usize) -> Option<f64> {
+        self.recent[pos].cycle_s?;
+        let mut window = [0.0f64; WINDOW];
+        let mut n = 0;
+        for c in self.recent[pos - WINDOW / 2..].iter().filter_map(|s| s.cycle_s) {
+            window[n] = c;
+            n += 1;
+        }
+        window[..n].sort_unstable_by(f64::total_cmp);
+        Some(window[n / 2])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The batch body the monitor replaced, kept as the differential
+    /// oracle: median-of-`k` filtered history, each valid sample replaced
+    /// by the median of the valid samples in a centred window of `k` (odd)
+    /// samples; failed slots stay `None`.
+    fn smoothed(history: &[MonitorSample], k: usize) -> Vec<MonitorSample> {
         assert!(k % 2 == 1, "median window must be odd");
         let half = k / 2;
-        let n = self.history.len();
+        let n = history.len();
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             let lo = i.saturating_sub(half);
             let hi = (i + half + 1).min(n);
-            let mut window: Vec<f64> =
-                self.history[lo..hi].iter().filter_map(|s| s.cycle_s).collect();
-            let smoothed = if window.is_empty() || self.history[i].cycle_s.is_none() {
+            let mut window: Vec<f64> = history[lo..hi].iter().filter_map(|s| s.cycle_s).collect();
+            let smoothed = if window.is_empty() || history[i].cycle_s.is_none() {
                 None
             } else {
                 window.sort_by(f64::total_cmp);
                 Some(window[window.len() / 2])
             };
-            out.push(MonitorSample { at: self.history[i].at, cycle_s: smoothed });
+            out.push(MonitorSample { at: history[i].at, cycle_s: smoothed });
         }
         out
     }
 
-    /// Detects level shifts in the smoothed series: a change is emitted
-    /// when `persistence` consecutive valid samples each deviate from the
-    /// current stable level by more than `tolerance_s`.
-    pub fn detect_changes(&self, tolerance_s: f64, persistence: usize) -> Vec<ChangeEvent> {
+    /// The batch detector over the whole smoothed history (the oracle for
+    /// [`ScheduleMonitor::changes`]).
+    fn detect_changes(
+        history: &[MonitorSample],
+        tolerance_s: f64,
+        persistence: usize,
+    ) -> Vec<ChangeEvent> {
         let persistence = persistence.max(1);
-        let smoothed = self.smoothed(5);
+        let smoothed = smoothed(history, 5);
         let valid: Vec<(Timestamp, f64)> =
             smoothed.iter().filter_map(|s| s.cycle_s.map(|c| (s.at, c))).collect();
         let mut events = Vec::new();
@@ -131,127 +224,14 @@ impl ScheduleMonitor {
         events
     }
 
-    /// Historical correction: the median cycle across all days at the given
-    /// time of day (± half an interval). `None` when no history covers that
-    /// slot.
-    pub fn historical_cycle(&self, seconds_of_day: u32) -> Option<f64> {
-        let half = (self.interval_s / 2) as i64;
-        let target = seconds_of_day as i64;
-        let mut matches: Vec<f64> = self
-            .history
-            .iter()
-            .filter(|s| {
-                let sod = s.at.seconds_of_day() as i64;
-                let d = (sod - target).rem_euclid(86_400);
-                d.min(86_400 - d) <= half
-            })
-            .filter_map(|s| s.cycle_s)
-            .collect();
-        if matches.is_empty() {
-            return None;
-        }
-        matches.sort_by(f64::total_cmp);
-        Some(matches[matches.len() / 2])
-    }
-
-    /// Corrected estimate for the latest sample: when the current estimate
-    /// deviates from the historical median at this time of day by more than
-    /// `tolerance_s` *and* history exists, the historical value wins. This
-    /// is the paper's "utilize historical traffic light scheduling to
-    /// correct the identification of current scheduling".
-    pub fn corrected_latest(&self, tolerance_s: f64) -> Option<f64> {
-        let last = self.history.last()?;
-        let current = last.cycle_s;
-        let historical = self.historical_cycle(last.at.seconds_of_day());
-        match (current, historical) {
-            (Some(c), Some(h)) if (c - h).abs() > tolerance_s => Some(h),
-            (Some(c), _) => Some(c),
-            (None, h) => h,
-        }
-    }
-}
-
-/// A bank of per-light monitors, fed directly from [`Identifier`] sweep
-/// results — the "system keeps on monitoring the traffic light" loop of
-/// the paper's Fig. 4 at city scale.
-///
-/// [`Identifier`]: crate::engine::Identifier
-#[derive(Debug, Default)]
-pub struct MonitorBank {
-    interval_s: u32,
-    monitors: std::collections::HashMap<u32, ScheduleMonitor>,
-}
-
-impl MonitorBank {
-    /// Creates a bank whose monitors use the given re-estimation period.
-    pub fn new(interval_s: u32) -> Self {
-        MonitorBank { interval_s, monitors: std::collections::HashMap::new() }
-    }
-
-    /// Records one identification round: an estimate (or failure) per
-    /// light at time `at`.
-    pub fn record_round(
-        &mut self,
-        at: Timestamp,
-        results: &[(
-            taxilight_roadnet::graph::LightId,
-            Result<crate::pipeline::LightSchedule, crate::pipeline::IdentifyError>,
-        )],
-    ) {
-        for (light, result) in results {
-            self.monitors
-                .entry(light.0)
-                .or_insert_with(|| ScheduleMonitor::new(self.interval_s))
-                .push(at, result.as_ref().ok().map(|e| e.cycle_s));
-        }
-    }
-
-    /// The monitor for one light, if it has ever reported.
-    pub fn monitor(&self, light: taxilight_roadnet::graph::LightId) -> Option<&ScheduleMonitor> {
-        self.monitors.get(&light.0)
-    }
-
-    /// All lights with detected scheduling changes, with their events.
-    pub fn all_changes(
-        &self,
-        tolerance_s: f64,
-        persistence: usize,
-    ) -> Vec<(taxilight_roadnet::graph::LightId, Vec<ChangeEvent>)> {
-        let mut out: Vec<_> = self
-            .monitors
-            .iter()
-            .filter_map(|(&id, m)| {
-                let events = m.detect_changes(tolerance_s, persistence);
-                (!events.is_empty()).then_some((taxilight_roadnet::graph::LightId(id), events))
-            })
-            .collect();
-        out.sort_by_key(|(l, _)| *l);
-        out
-    }
-
-    /// Number of monitored lights.
-    pub fn len(&self) -> usize {
-        self.monitors.len()
-    }
-
-    /// True when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.monitors.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     fn t(day: u8, sod: i64) -> Timestamp {
         Timestamp::civil(2014, 5, 21 + day, 0, 0, 0).offset(sod)
     }
 
-    /// Fills a monitor with a daily pattern: 90 s off-peak, 140 s in
-    /// 7–9 h and 17–19 h, sampled every 5 min, with outliers injected.
-    fn three_day_monitor() -> ScheduleMonitor {
-        let mut m = ScheduleMonitor::default();
+    /// A daily pattern: 90 s off-peak, 140 s in 7–9 h and 17–19 h, sampled
+    /// every 5 min for three days, with outliers injected.
+    fn three_day_series() -> Vec<MonitorSample> {
+        let mut out = Vec::new();
         for day in 0..3u8 {
             for slot in 0..(86_400 / 300) {
                 let sod = slot * 300;
@@ -265,15 +245,32 @@ mod tests {
                 }
                 // Every 53rd slot fails entirely.
                 let value = if slot % 53 == 11 { None } else { Some(cycle) };
-                m.push(t(day, sod as i64), value);
+                out.push(MonitorSample { at: t(day, sod as i64), cycle_s: value });
             }
+        }
+        out
+    }
+
+    fn monitor_of(
+        series: &[MonitorSample],
+        tolerance_s: f64,
+        persistence: usize,
+    ) -> ScheduleMonitor {
+        let mut m = ScheduleMonitor::new(tolerance_s, persistence);
+        for s in series {
+            m.push(s.at, s.cycle_s);
         }
         m
     }
 
+    /// `(at, from, to)` bit patterns, so NaN levels compare too.
+    fn bits(events: &[ChangeEvent]) -> Vec<(i64, u64, u64)> {
+        events.iter().map(|e| (e.at.0, e.from_cycle_s.to_bits(), e.to_cycle_s.to_bits())).collect()
+    }
+
     #[test]
     fn push_requires_time_order() {
-        let mut m = ScheduleMonitor::default();
+        let mut m = ScheduleMonitor::new(20.0, 2);
         m.push(Timestamp(100), Some(90.0));
         m.push(Timestamp(100), Some(90.0)); // equal is fine
         let result = std::panic::catch_unwind(move || {
@@ -284,8 +281,8 @@ mod tests {
 
     #[test]
     fn smoothing_removes_isolated_outliers() {
-        let m = three_day_monitor();
-        let smoothed = m.smoothed(5);
+        let series = three_day_series();
+        let smoothed = smoothed(&series, 5);
         // No smoothed valid value should be near the 260 s outlier level.
         for s in &smoothed {
             if let Some(c) = s.cycle_s {
@@ -293,7 +290,7 @@ mod tests {
             }
         }
         // Failed slots stay None.
-        let raw_none = m.history().iter().filter(|s| s.cycle_s.is_none()).count();
+        let raw_none = series.iter().filter(|s| s.cycle_s.is_none()).count();
         let smooth_none = smoothed.iter().filter(|s| s.cycle_s.is_none()).count();
         assert_eq!(raw_none, smooth_none);
     }
@@ -301,13 +298,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "odd")]
     fn smoothing_rejects_even_window() {
-        three_day_monitor().smoothed(4);
+        smoothed(&three_day_series(), 4);
     }
 
     #[test]
     fn detects_the_daily_program_switches() {
-        let m = three_day_monitor();
-        let events = m.detect_changes(20.0, 3);
+        let series = three_day_series();
+        let events = monitor_of(&series, 20.0, 3).changes();
+        assert_eq!(bits(&events), bits(&detect_changes(&series, 20.0, 3)));
         // 3 days × 4 switches (off→peak, peak→off, twice a day).
         assert_eq!(events.len(), 12, "events: {events:?}");
         // Alternating directions.
@@ -327,100 +325,37 @@ mod tests {
 
     #[test]
     fn no_false_changes_on_stable_schedule() {
-        let mut m = ScheduleMonitor::default();
+        let mut m = ScheduleMonitor::new(20.0, 3);
         for slot in 0..200 {
             // Static 106 s light with small estimation jitter and outliers.
             let jitter = ((slot * 7) % 5) as f64 - 2.0;
             let cycle = if slot % 31 == 3 { 230.0 } else { 106.0 + jitter };
             m.push(Timestamp(slot as i64 * 300), Some(cycle));
         }
-        assert!(m.detect_changes(20.0, 3).is_empty());
-    }
-
-    #[test]
-    fn historical_cycle_uses_same_time_of_day() {
-        let m = three_day_monitor();
-        // 08:00 is peak on every day.
-        assert_eq!(m.historical_cycle(8 * 3600), Some(140.0));
-        // 12:00 is off-peak.
-        assert_eq!(m.historical_cycle(12 * 3600), Some(90.0));
-        // Empty monitor.
-        assert_eq!(ScheduleMonitor::default().historical_cycle(0), None);
-    }
-
-    #[test]
-    fn corrected_latest_overrides_outliers() {
-        let mut m = three_day_monitor();
-        // Append a grossly wrong estimate at 12:00 on day 3.
-        m.push(t(3, 12 * 3600), Some(250.0));
-        assert_eq!(m.corrected_latest(20.0), Some(90.0), "history must veto the outlier");
-        // A failed latest estimate falls back to history.
-        m.push(t(3, 12 * 3600 + 300), None);
-        assert_eq!(m.corrected_latest(20.0), Some(90.0));
-        // A consistent estimate passes through.
-        m.push(t(3, 12 * 3600 + 600), Some(91.0));
-        assert_eq!(m.corrected_latest(20.0), Some(91.0));
-    }
-
-    #[test]
-    fn monitor_bank_tracks_many_lights() {
-        use crate::pipeline::{IdentifyError, LightSchedule};
-        use taxilight_roadnet::graph::LightId;
-        let mut bank = MonitorBank::new(300);
-        assert!(bank.is_empty());
-        let est = |light: u32, cycle: f64| {
-            (
-                LightId(light),
-                Ok::<_, IdentifyError>(LightSchedule {
-                    light: LightId(light),
-                    cycle_s: cycle,
-                    red_s: cycle * 0.4,
-                    green_s: cycle * 0.6,
-                    red_start_s: 0.0,
-                    snr: 3.0,
-                    samples: 50,
-                }),
-            )
-        };
-        // Light 0 stays at 90 s; light 1 jumps to 150 s halfway.
-        for k in 0..40i64 {
-            let at = Timestamp(k * 300);
-            let c1 = if k < 20 { 90.0 } else { 150.0 };
-            let round = vec![est(0, 90.0), est(1, c1)];
-            bank.record_round(at, &round);
-        }
-        assert_eq!(bank.len(), 2);
-        assert!(bank.monitor(LightId(0)).is_some());
-        assert!(bank.monitor(LightId(2)).is_none());
-        let changes = bank.all_changes(20.0, 2);
-        assert_eq!(changes.len(), 1, "{changes:?}");
-        assert_eq!(changes[0].0, LightId(1));
-        assert!((changes[0].1[0].to_cycle_s - 150.0).abs() < 1.0);
+        assert!(m.changes().is_empty());
     }
 
     #[test]
     fn single_sample_history_detects_nothing() {
-        let mut m = ScheduleMonitor::default();
+        let mut m = ScheduleMonitor::new(20.0, 2);
         m.push(Timestamp(0), Some(96.0));
-        assert!(m.detect_changes(20.0, 2).is_empty());
-        assert_eq!(m.smoothed(5).len(), 1);
-        assert_eq!(m.smoothed(5)[0].cycle_s, Some(96.0));
-        assert_eq!(m.corrected_latest(20.0), Some(96.0));
+        assert!(m.changes().is_empty());
         // And a single *failed* sample is equally quiet.
-        let mut f = ScheduleMonitor::default();
+        let mut f = ScheduleMonitor::new(20.0, 2);
         f.push(Timestamp(0), None);
-        assert!(f.detect_changes(20.0, 2).is_empty());
-        assert_eq!(f.corrected_latest(20.0), None);
+        assert!(f.changes().is_empty());
     }
 
     #[test]
     fn identical_consecutive_schedules_never_flag_a_change() {
-        let mut m = ScheduleMonitor::default();
+        let mut exact = ScheduleMonitor::new(0.0, 1);
+        let mut m = ScheduleMonitor::new(20.0, 2);
         for k in 0..50i64 {
+            exact.push(Timestamp(k * 300), Some(120.0));
             m.push(Timestamp(k * 300), Some(120.0));
         }
-        assert!(m.detect_changes(0.0, 1).is_empty(), "zero tolerance, exact repeats");
-        assert!(m.detect_changes(20.0, 2).is_empty());
+        assert!(exact.changes().is_empty(), "zero tolerance, exact repeats");
+        assert!(m.changes().is_empty());
     }
 
     #[test]
@@ -429,12 +364,12 @@ mod tests {
         // every sample up to (and excluding) the boundary sees the old
         // cycle, the boundary sample itself already sees the new one.
         let boundary = 25i64;
-        let mut m = ScheduleMonitor::default();
+        let mut m = ScheduleMonitor::new(20.0, 2);
         for k in 0..50i64 {
             let cycle = if k < boundary { 90.0 } else { 140.0 };
             m.push(Timestamp(k * 300), Some(cycle));
         }
-        let events = m.detect_changes(20.0, 2);
+        let events = m.changes();
         assert_eq!(events.len(), 1, "{events:?}");
         let e = events[0];
         assert!((e.from_cycle_s - 90.0).abs() < 1.0);
@@ -445,19 +380,95 @@ mod tests {
         assert!(err <= 2 * 300, "event at {:?}, boundary {}", e.at, boundary * 300);
     }
 
+    #[test]
+    fn a_tentative_change_can_be_withdrawn() {
+        // Two high samples confirm a change on truncated windows; the
+        // next two low samples complete those windows and withdraw it,
+        // exactly as the batch detector over the longer history does.
+        let mut history = Vec::new();
+        let mut m = ScheduleMonitor::new(20.0, 2);
+        let mut seen = Vec::new();
+        for (k, c) in [90.0, 90.0, 90.0, 90.0, 150.0, 150.0, 90.0, 90.0].into_iter().enumerate() {
+            let s = MonitorSample { at: Timestamp(k as i64 * 300), cycle_s: Some(c) };
+            history.push(s);
+            m.push(s.at, s.cycle_s);
+            assert_eq!(bits(&m.changes()), bits(&detect_changes(&history, 20.0, 2)));
+            seen.push(m.changes().len());
+        }
+        assert_eq!(seen, [0, 0, 0, 0, 0, 1, 1, 0]);
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
 
+        /// Level segments with jitter, exact repeats (median ties), failed
+        /// slots, outliers and the odd NaN; timestamps advance by 0–600 s.
+        /// Half the segments sit on a 10 s grid, so level steps of exactly
+        /// a grid tolerance occur.
+        fn series() -> impl Strategy<Value = Vec<MonitorSample>> {
+            (
+                prop::collection::vec((60.0f64..200.0, 0u8..2, 1usize..25), 1..6),
+                prop::collection::vec((0u8..40, -4.0f64..4.0, 20.0f64..320.0, 0i64..600), 64),
+            )
+                .prop_map(|(segments, noise)| {
+                    let mut out: Vec<MonitorSample> = Vec::new();
+                    let mut at = 0i64;
+                    for (level, on_grid, len) in segments {
+                        let level =
+                            if on_grid == 1 { (level / 10.0).round() * 10.0 } else { level };
+                        for _ in 0..len {
+                            let (kind, jitter, outlier, dt) = noise[out.len() % noise.len()];
+                            let cycle_s = match kind {
+                                0..=5 => None,
+                                6..=9 => Some(outlier),
+                                10..=19 => Some(level),
+                                20 => Some(f64::NAN),
+                                _ => Some(level + jitter),
+                            };
+                            at += dt;
+                            out.push(MonitorSample { at: Timestamp(at), cycle_s });
+                        }
+                    }
+                    out
+                })
+        }
+
         proptest! {
+            #[test]
+            fn changes_match_the_batch_detector_after_every_push(
+                history in series(),
+                tolerance_s in (0u8..8, 0.0f64..30.0)
+                    .prop_map(|(k, t)| if k < 4 { 10.0 * f64::from(k) } else { t }),
+                persistence in 0usize..5,
+            ) {
+                let mut m = ScheduleMonitor::new(tolerance_s, persistence);
+                // The stream `RealtimeIdentifier::reidentify` emits: each
+                // round, the events past the count already reported.
+                let (mut emitted, mut expected) = (Vec::new(), Vec::new());
+                let (mut reported, mut expected_reported) = (0, 0);
+                for k in 0..history.len() {
+                    m.push(history[k].at, history[k].cycle_s);
+                    let events = m.changes();
+                    let oracle = detect_changes(&history[..=k], tolerance_s, persistence);
+                    prop_assert_eq!(bits(&events), bits(&oracle), "after push {}", k);
+                    emitted.extend(events.iter().skip(reported).copied());
+                    reported = events.len();
+                    expected.extend(oracle.iter().skip(expected_reported).copied());
+                    expected_reported = oracle.len();
+                }
+                prop_assert_eq!(bits(&emitted), bits(&expected));
+            }
+
             #[test]
             fn smoothed_preserves_shape(values in prop::collection::vec(
                 prop::option::of(60.0f64..200.0), 1..80)) {
-                let mut m = ScheduleMonitor::new(300);
-                for (k, v) in values.iter().enumerate() {
-                    m.push(Timestamp(k as i64 * 300), *v);
-                }
-                let smoothed = m.smoothed(5);
+                let history: Vec<MonitorSample> = values
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &cycle_s)| MonitorSample { at: Timestamp(k as i64 * 300), cycle_s })
+                    .collect();
+                let smoothed = smoothed(&history, 5);
                 prop_assert_eq!(smoothed.len(), values.len());
                 for (raw, s) in values.iter().zip(&smoothed) {
                     prop_assert_eq!(raw.is_none(), s.cycle_s.is_none());
@@ -476,45 +487,13 @@ mod tests {
                 // documented warm-up sensitivity).
                 let outlier_slots: std::collections::BTreeSet<usize> =
                     outlier_seeds.iter().map(|s| s * 5).collect();
-                let mut m = ScheduleMonitor::new(300);
+                let mut m = ScheduleMonitor::new(base * 0.2, 3);
                 for k in 0..60usize {
                     let v = if outlier_slots.contains(&k) { base * 3.0 } else { base };
                     m.push(Timestamp(k as i64 * 300), Some(v));
                 }
-                prop_assert!(m.detect_changes(base * 0.2, 3).is_empty());
+                prop_assert!(m.changes().is_empty());
             }
-
-            #[test]
-            fn historical_cycle_is_some_iff_slot_covered(hour in 0u32..24) {
-                let mut m = ScheduleMonitor::new(600);
-                // Cover only 06:00–12:00 for two days.
-                for day in 0..2i64 {
-                    for slot in 36..72i64 {
-                        m.push(Timestamp(day * 86_400 + slot * 600), Some(100.0));
-                    }
-                }
-                let covered = (6..12).contains(&hour);
-                prop_assert_eq!(m.historical_cycle(hour * 3600).is_some(), covered,
-                                "hour {}", hour);
-            }
-        }
-    }
-
-    #[test]
-    fn day_over_day_levels_repeat() {
-        // The Fig. 12 observation: the same time of different days shows
-        // the same level.
-        let m = three_day_monitor();
-        let smoothed = m.smoothed(5);
-        let at_sod = |day: u8, sod: i64| {
-            smoothed.iter().find(|s| s.at == t(day, sod)).and_then(|s| s.cycle_s)
-        };
-        for sod in [2 * 3600i64, 8 * 3600, 15 * 3600, 18 * 3600] {
-            let d0 = at_sod(0, sod);
-            let d1 = at_sod(1, sod);
-            let d2 = at_sod(2, sod);
-            assert_eq!(d0, d1, "sod {sod}");
-            assert_eq!(d1, d2, "sod {sod}");
         }
     }
 }

@@ -447,22 +447,6 @@ fn finish_identification(
     })
 }
 
-/// Sequential, consensus-free sweep over every light with data — the
-/// reference the engine-equivalence tests compare the sharded engine to.
-pub(crate) fn identify_all_seq(
-    parts: &PartitionedTraces,
-    net: &RoadNetwork,
-    at: Timestamp,
-    cfg: &IdentifyConfig,
-) -> Vec<(LightId, Result<LightSchedule, IdentifyError>)> {
-    let mut ws = IdentifyWorkspace::new();
-    parts
-        .lights_with_data()
-        .into_iter()
-        .map(|light| (light, identify_light_impl(parts, net, light, at, cfg, &mut ws)))
-        .collect()
-}
-
 /// The consensus pass: every light at one crossroad shares the cycle
 /// length (paper Sec. V-B — the very fact the enhancement builds on), so
 /// when the majority of an intersection's approaches agree and one

@@ -4,16 +4,16 @@
 //! [`RealtimeIdentifier`] consumes raw taxi records as they arrive from
 //! the fleet feed, map-matches and partitions them incrementally, keeps a
 //! sliding per-light window, re-identifies on a fixed cadence (the
-//! paper's 5-minute monitoring loop), and maintains the
-//! [`ScheduleMonitor`] history per light so scheduling changes surface as
-//! they happen. At any instant the current best schedule of any light is
-//! queryable in O(1).
+//! paper's 5-minute monitoring loop), and feeds each light's estimates to
+//! a [`ScheduleMonitor`] so scheduling changes surface as they happen. At
+//! any instant the current best schedule of any light is queryable in
+//! O(1).
 
 use crate::config::{ConfigError, IdentifyConfig};
-use crate::engine::{ExecMode, Identifier, IdentifyRequest};
+use crate::engine::{Identifier, IdentifyRequest};
 use crate::health::HealthRegistry;
 use crate::monitor::{ChangeEvent, ScheduleMonitor};
-use crate::pipeline::{IdentifyError, LightSchedule};
+use crate::pipeline::LightSchedule;
 use crate::preprocess::{LightObs, PartitionedTraces, Preprocessor};
 use crate::view::ScheduleView;
 use rayon::prelude::*;
@@ -78,8 +78,6 @@ pub struct RealtimeIdentifier<'a> {
     ///
     /// [`reorder_grace_s`]: RealtimeBuilder::reorder_grace_s
     reorder_grace_s: u32,
-    /// Execution mode handed to the engine on every round.
-    exec: ExecMode,
     /// Whether any round has fired yet (fixes the round schedule).
     started: bool,
     /// Sliding per-light observation buffers, time-ordered, deduplicated
@@ -87,7 +85,7 @@ pub struct RealtimeIdentifier<'a> {
     buffers: BTreeMap<u32, Vec<LightObs>>,
     /// Latest successful schedule per light.
     current: BTreeMap<u32, LightSchedule>,
-    /// Cycle-history monitors per light.
+    /// Scheduling-change monitors per light.
     monitors: BTreeMap<u32, ScheduleMonitor>,
     /// Newly detected scheduling changes since the last drain.
     pending_changes: Vec<(LightId, ChangeEvent)>,
@@ -131,7 +129,6 @@ pub struct RealtimeBuilder<'a> {
     cfg: IdentifyConfig,
     interval_s: u32,
     reorder_grace_s: u32,
-    exec: ExecMode,
 }
 
 impl<'a> RealtimeBuilder<'a> {
@@ -158,13 +155,6 @@ impl<'a> RealtimeBuilder<'a> {
         self
     }
 
-    /// Engine [`ExecMode`] for re-identification rounds. Never changes
-    /// results (sharded and serial are bit-identical); only wall-clock.
-    pub fn exec_mode(mut self, v: ExecMode) -> Self {
-        self.exec = v;
-        self
-    }
-
     /// Validates and builds the streaming engine.
     pub fn build(self) -> Result<RealtimeIdentifier<'a>, ConfigError> {
         self.cfg.validate()?;
@@ -173,23 +163,15 @@ impl<'a> RealtimeBuilder<'a> {
         }
         let mut rt = RealtimeIdentifier::new(self.net, self.cfg, self.interval_s);
         rt.reorder_grace_s = self.reorder_grace_s;
-        rt.exec = self.exec;
         Ok(rt)
     }
 }
 
 impl<'a> RealtimeIdentifier<'a> {
     /// Starts a validating builder over `net`, pre-loaded with the paper
-    /// defaults (default config, 300 s interval, no reorder grace, auto
-    /// execution mode).
+    /// defaults (default config, 300 s interval, no reorder grace).
     pub fn builder(net: &'a RoadNetwork) -> RealtimeBuilder<'a> {
-        RealtimeBuilder {
-            net,
-            cfg: IdentifyConfig::default(),
-            interval_s: 300,
-            reorder_grace_s: 0,
-            exec: ExecMode::default(),
-        }
+        RealtimeBuilder { net, cfg: IdentifyConfig::default(), interval_s: 300, reorder_grace_s: 0 }
     }
 
     /// Creates the engine. `interval_s` is the re-identification cadence.
@@ -207,7 +189,6 @@ impl<'a> RealtimeIdentifier<'a> {
             cfg,
             interval_s,
             reorder_grace_s: 0,
-            exec: ExecMode::default(),
             started: false,
             buffers: BTreeMap::new(),
             current: BTreeMap::new(),
@@ -402,7 +383,7 @@ impl<'a> RealtimeIdentifier<'a> {
         // Consensus is off for Many-selections, preserving the historical
         // per-round behaviour (each light judged on its own data).
         let lights: Vec<LightId> = self.buffers.keys().map(|&id| LightId(id)).collect();
-        let req = IdentifyRequest { exec: self.exec, ..IdentifyRequest::many(at, lights) };
+        let req = IdentifyRequest::many(at, lights);
         let mut attempted = 0usize;
         let mut identified = 0usize;
         for (light, result) in self.engine.run(&parts, &req).results {
@@ -412,13 +393,11 @@ impl<'a> RealtimeIdentifier<'a> {
             if let Ok(est) = &result {
                 self.current.insert(light.0, *est);
             }
-            let monitor = self
-                .monitors
-                .entry(light.0)
-                .or_insert_with(|| ScheduleMonitor::new(self.interval_s));
+            let monitor =
+                self.monitors.entry(light.0).or_insert_with(|| ScheduleMonitor::new(20.0, 2));
             monitor.push(at, cycle);
             // Surface any newly confirmed scheduling changes.
-            let events = monitor.detect_changes(20.0, 2);
+            let events = monitor.changes();
             let reported = self.reported_changes.entry(light.0).or_insert(0);
             for e in events.iter().skip(*reported) {
                 self.pending_changes.push((light, *e));
@@ -492,7 +471,7 @@ impl<'a> RealtimeIdentifier<'a> {
         changes
     }
 
-    /// The per-light monitor (cycle history), if the light ever reported.
+    /// The per-light change monitor, if the light ever reported.
     pub fn monitor(&self, light: LightId) -> Option<&ScheduleMonitor> {
         self.monitors.get(&light.0)
     }
@@ -520,22 +499,6 @@ impl<'a> RealtimeIdentifier<'a> {
     /// Total buffered observations.
     pub fn buffered_observations(&self) -> usize {
         self.buffers.values().map(Vec::len).sum()
-    }
-
-    /// Runs an on-demand identification of `light` over the current
-    /// buffers, outside the round cadence.
-    pub fn identify_now(
-        &self,
-        light: LightId,
-        at: Timestamp,
-    ) -> Result<LightSchedule, IdentifyError> {
-        let parts = PartitionedTraces::from_buckets(
-            self.net.light_count(),
-            self.buffers.iter().map(|(&id, obs)| (LightId(id), obs.as_slice())),
-        );
-        self.engine
-            .run(&parts, &IdentifyRequest { exec: self.exec, ..IdentifyRequest::one(at, light) })
-            .into_single()
     }
 
     /// Takes an immutable, versioned [`ScheduleView`] snapshot of every
@@ -762,18 +725,12 @@ mod tests {
         let mut engine = RealtimeIdentifier::new(&city.net, IdentifyConfig::default(), 300);
         let half = records.len() / 2;
         engine.extend(records[..half].iter());
+        let before = engine.round_report().rounds;
         let mut last = *records.last().unwrap();
         last.time = last.time.offset(3600);
         engine.push(&last);
-        let history = city
-            .net
-            .lights()
-            .iter()
-            .filter_map(|l| engine.monitor(l.id))
-            .map(|m| m.history().len())
-            .max()
-            .unwrap_or(0);
-        assert!(history >= 3, "expected several catch-up rounds, saw {history}");
+        let caught_up = engine.round_report().rounds - before;
+        assert!(caught_up >= 3, "expected several catch-up rounds, saw {caught_up}");
     }
 
     #[test]

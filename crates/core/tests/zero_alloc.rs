@@ -14,6 +14,9 @@
 //! shapes: the paper's 3600 s window on the exact-length path (Bluestein,
 //! m = 8192), a power-of-two 2048 s window (radix-2), and the 3600 s window on
 //! the [`SpectrumPath::PaddedPow2`] fast path.
+//!
+//! It also pins the Sec.-VII change monitor: once built, 30 days of 5-minute
+//! pushes that confirm no change allocate nothing.
 
 #![cfg(feature = "alloc-counter")]
 
@@ -21,7 +24,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
+use taxilight_core::monitor::ScheduleMonitor;
 use taxilight_core::{IdentifyConfig, IdentifyWorkspace, SpectrumPath};
+use taxilight_trace::time::Timestamp;
 
 /// Wraps the system allocator and counts every allocation-producing call.
 /// Deallocations are not counted: the invariant under test is "no new heap
@@ -143,4 +148,29 @@ fn steady_state_holds_across_alternating_shapes() {
     }
     let after = alloc_calls();
     assert_eq!(after - before, 0, "alternating warm shapes allocated {} time(s)", after - before);
+}
+
+#[test]
+fn thirty_days_of_monitor_pushes_allocate_nothing() {
+    let _serial = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
+    // A stable 106 s light with estimation jitter, isolated outliers and
+    // failed slots: the median filter absorbs them, so no change confirms.
+    let sample = |k: i64| match k {
+        k if k % 53 == 11 => None,
+        k if k % 31 == 3 => Some(230.0),
+        k => Some(106.0 + ((k * 7) % 5) as f64 - 2.0),
+    };
+    let mut monitor = ScheduleMonitor::new(20.0, 2);
+    for k in 0..5 {
+        monitor.push(Timestamp(k * 300), sample(k));
+    }
+
+    let before = alloc_calls();
+    for k in 5..5 + 30 * 288 {
+        monitor.push(Timestamp(k * 300), sample(k));
+    }
+    let after = alloc_calls();
+
+    assert_eq!(after - before, 0, "8 640 monitor pushes allocated {} time(s)", after - before);
+    assert!(monitor.changes().is_empty(), "the stable series confirmed a change");
 }

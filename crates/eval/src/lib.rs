@@ -31,6 +31,7 @@
 //! deterministic (seeded PRNGs, order-preserving parallelism, sorted
 //! iteration).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;

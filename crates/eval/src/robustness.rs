@@ -488,7 +488,7 @@ fn point_from(
             continue;
         };
         compared += 1;
-        let mut monitor = ScheduleMonitor::new(600);
+        let mut monitor = ScheduleMonitor::new(25.0, 2);
         let mut t = at;
         for _ in 0..6 {
             monitor.push(t, Some(clean_cycle));
@@ -498,7 +498,7 @@ fn point_from(
             monitor.push(t, Some(corrupt_cycle));
             t = t.offset(600);
         }
-        if !monitor.detect_changes(25.0, 2).is_empty() {
+        if !monitor.changes().is_empty() {
             spurious += 1;
         }
     }

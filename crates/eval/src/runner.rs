@@ -182,7 +182,7 @@ fn run_change_detection(scenario: &Scenario, base: &IdentifyConfig) -> ScenarioR
     const MONITOR_INTERVAL_S: i64 = 600;
     let mut latencies = Vec::new();
     for &(light, samples) in by_density.iter().take(5) {
-        let mut monitor = ScheduleMonitor::new(MONITOR_INTERVAL_S as u32);
+        let mut monitor = ScheduleMonitor::new(25.0, 2);
         let mut t = sim_start.offset(cfg.window_s as i64);
         while t <= sim_start.offset(horizon) {
             let cycle = engine
@@ -196,7 +196,7 @@ fn run_change_detection(scenario: &Scenario, base: &IdentifyConfig) -> ScenarioR
         report.attempts += 1;
         // The first confirmed increase at or after the switch (minus one
         // monitoring interval of timestamp slack) is the detection.
-        let event = monitor.detect_changes(25.0, 2).into_iter().find(|e| {
+        let event = monitor.changes().into_iter().find(|e| {
             e.to_cycle_s > e.from_cycle_s && e.at.delta(switch_truth) >= -MONITOR_INTERVAL_S
         });
         let (latency, est_cycle) = match event {

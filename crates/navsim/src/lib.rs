@@ -18,6 +18,7 @@
 //! [`advisory`] adds the paper's other motivating application: a
 //! green-catching speed advisory for a single approach.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advisory;

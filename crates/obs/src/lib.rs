@@ -43,6 +43,7 @@
 //! identify_one(7); // no subscriber installed: both macros are free
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chrome;

@@ -8,6 +8,7 @@
 //! ([`spatial`]), synthetic city generators ([`generators`]), and free-flow
 //! Dijkstra routing used by the taxi simulator ([`routing`]).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod generators;

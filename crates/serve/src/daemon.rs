@@ -7,7 +7,7 @@
 //! ```text
 //! feed socket ──decode──▶ sync_channel(N) ──▶ RealtimeIdentifier ──publish──▶ store
 //!      ▲                        ▲                    (rounds)                  │
-//!      └── TCP flow control ────┘                                   Acquire load (wait-free)
+//!      └── TCP flow control ────┘                                   read lock + Arc clone
 //!                                                                              ▼
 //!                                                             HTTP/1.1 query connections
 //! ```
@@ -22,8 +22,8 @@
 //!   (feed clock, the paper's 5-minute cadence) it publishes an
 //!   immutable snapshot into the [`ScheduleStore`].
 //! * **HTTP threads** (one per connection) answer queries from the
-//!   current snapshot — one atomic load per query, zero locks, zero
-//!   allocations on the store read.
+//!   current snapshot — one uncontended read lock and one reference-count
+//!   increment per query, zero allocations on the store read.
 //!
 //! All scheduling derives from *record* timestamps, never the wall
 //! clock, so a replayed feed produces bit-identical answers — the
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taxilight_core::realtime::RealtimeIdentifier;
-use taxilight_core::{IdentifyConfig, LightHealth, QualityGrade};
+use taxilight_core::{ConfigError, IdentifyConfig, LightHealth, QualityGrade};
 use taxilight_obs::flight::FlightRecorder;
 use taxilight_obs::json::fmt_f64;
 use taxilight_obs::metrics::{self, MetricClass};
@@ -244,7 +244,16 @@ pub struct Daemon {
 impl Daemon {
     /// Binds both listeners. Queries are answerable (as empty) from this
     /// moment; identification starts when [`Daemon::run`] is called.
+    ///
+    /// A configuration the identification thread would reject fails here,
+    /// before anything binds, as [`std::io::ErrorKind::InvalidInput`]
+    /// naming the offending field.
     pub fn bind(cfg: DaemonConfig) -> std::io::Result<Daemon> {
+        let invalid = |e: ConfigError| std::io::Error::new(std::io::ErrorKind::InvalidInput, e);
+        cfg.identify.validate().map_err(invalid)?;
+        if cfg.interval_s == 0 {
+            return Err(invalid(ConfigError::ZeroInterval));
+        }
         let feed_listener = TcpListener::bind(&cfg.feed_addr)?;
         let http_listener = TcpListener::bind(&cfg.http_addr)?;
         let (store, reader) = ScheduleStore::new();
@@ -1099,4 +1108,23 @@ fn parse_time(s: &str) -> Option<Timestamp> {
         return Some(Timestamp(epoch));
     }
     Timestamp::parse(s).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn bind_rejects_a_config_the_identification_thread_would() {
+        let zero_interval = DaemonConfig { interval_s: 0, ..DaemonConfig::default() };
+        let zero_window = DaemonConfig {
+            identify: IdentifyConfig { window_s: 0, ..IdentifyConfig::default() },
+            ..DaemonConfig::default()
+        };
+        for (cfg, field) in [(zero_interval, "interval_s"), (zero_window, "window_s")] {
+            let err = Daemon::bind(cfg).err().expect("a degenerate config must not bind");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+            assert!(err.to_string().contains(field), "{err}");
+        }
+    }
 }

@@ -5,8 +5,8 @@
 //! published as immutable versioned snapshots and queried over HTTP
 //! ("when does light X turn green?") by navigation clients.
 //!
-//! * [`store`] — the lock-free versioned schedule store: single writer,
-//!   wait-free readers, full snapshot history.
+//! * [`store`] — the versioned schedule store: single writer, readers
+//!   that share the one current snapshot, no retained history.
 //! * [`ingest`] — feed wire formats (Table-I CSV and ND-JSON) behind
 //!   the bounded-memory [`RecordSource`] contract.
 //! * [`http`] — dependency-free HTTP/1.1 request/response plumbing.
@@ -19,6 +19,7 @@
 //! [`RecordSource`]: taxilight_trace::source::RecordSource
 //! [`RealtimeIdentifier`]: taxilight_core::realtime::RealtimeIdentifier
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod daemon;

@@ -1,29 +1,19 @@
-//! The lock-free versioned schedule store.
+//! The versioned schedule store.
 //!
 //! The daemon's single writer publishes immutable [`Snapshot`]s — a
 //! [`ScheduleView`] plus the cumulative change history — and every HTTP
-//! connection reads the current one with a single atomic pointer load:
-//! no lock, no reference-count traffic, no allocation. Readers therefore
-//! never block the identification round and never observe a torn
-//! schedule: a snapshot is fully constructed before the pointer swings
-//! (release store), and a reader's acquire load sees either the old or
-//! the new snapshot in its entirety.
-//!
-//! ## Why the read is safe without a lock or an `Arc` clone
-//!
-//! The classic hazard of an `AtomicPtr` swap is a reader dereferencing a
-//! pointer the writer just freed. This store never frees a published
-//! snapshot while any handle lives: the writer appends every snapshot's
-//! `Arc` to an internal, append-only history vector (guarded by a mutex
-//! the *writer alone* touches on the publish path), so the pointer in
-//! `current` always targets memory owned by the shared state itself.
-//! The retained history is not overhead — it *is* the version history
-//! the serving API exposes (`/changes`, versioned snapshots), and its
-//! growth is bounded by the publish cadence: one snapshot per
-//! re-identification round (the paper's 5 minutes), a few KB each.
+//! connection reads the current one. The store holds exactly one
+//! snapshot, an `Arc<Snapshot>` behind a [`RwLock`]: a read takes the
+//! read lock just long enough to clone that `Arc` (one reference-count
+//! increment, no allocation), and a publish swaps in the new snapshot
+//! under the write lock. A reader therefore sees either the old or the
+//! new snapshot in its entirety, never a torn schedule, and keeps it for
+//! as long as it holds the `Arc`: publishes never wait on a held
+//! snapshot, and a replaced snapshot is freed when its last reader drops
+//! it. Memory is the current snapshot plus whatever readers still hold,
+//! however long the daemon runs.
 
-use std::sync::atomic::{AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 use taxilight_core::monitor::ChangeEvent;
 use taxilight_core::{LightHealth, ScheduleView};
@@ -52,31 +42,15 @@ pub struct Snapshot {
     pub health: Vec<LightHealth>,
 }
 
-/// State shared by the writer and every reader handle.
-struct StoreShared {
-    /// Points at the most recent snapshot inside `history`. Never null
-    /// after construction; swung with `Release`, read with `Acquire`.
-    current: AtomicPtr<Snapshot>,
-    /// Append-only ownership of every snapshot ever published. Locked
-    /// only by the writer (publish) and by explicit history queries —
-    /// never by the current-snapshot read path.
-    history: Mutex<Vec<Arc<Snapshot>>>,
-}
-
-// SAFETY: `Snapshot` is fully immutable after publication and the raw
-// pointer always targets an `Arc` retained in `history`.
-unsafe impl Send for StoreShared {}
-unsafe impl Sync for StoreShared {}
-
 /// The single-writer handle: publishes snapshots.
 pub struct ScheduleStore {
-    shared: Arc<StoreShared>,
+    current: Arc<RwLock<Arc<Snapshot>>>,
 }
 
 /// A cloneable read handle; every HTTP connection owns one.
 #[derive(Clone)]
 pub struct StoreReader {
-    shared: Arc<StoreShared>,
+    current: Arc<RwLock<Arc<Snapshot>>>,
 }
 
 impl ScheduleStore {
@@ -89,12 +63,8 @@ impl ScheduleStore {
             changes: Vec::new(),
             health: Vec::new(),
         });
-        let ptr = Arc::as_ptr(&initial) as *mut Snapshot;
-        let shared = Arc::new(StoreShared {
-            current: AtomicPtr::new(ptr),
-            history: Mutex::new(vec![initial]),
-        });
-        (ScheduleStore { shared: Arc::clone(&shared) }, StoreReader { shared })
+        let current = Arc::new(RwLock::new(initial));
+        (ScheduleStore { current: Arc::clone(&current) }, StoreReader { current })
     }
 
     /// Publishes a new snapshot: it becomes the current answer for every
@@ -111,56 +81,29 @@ impl ScheduleStore {
         changes: Vec<(LightId, ChangeEvent)>,
         health: Vec<LightHealth>,
     ) -> u64 {
-        let mut history = self.shared.history.lock().expect("store writer poisoned");
-        let seq = history.len() as u64;
-        let snapshot = Arc::new(Snapshot { seq, view, changes, health });
-        let ptr = Arc::as_ptr(&snapshot) as *mut Snapshot;
-        history.push(snapshot);
-        // Release: the fully-built snapshot happens-before any reader
-        // that acquires this pointer.
-        self.shared.current.store(ptr, Ordering::Release);
+        let mut current = self.current.write().expect("store lock poisoned");
+        let seq = current.seq + 1;
+        let replaced =
+            std::mem::replace(&mut *current, Arc::new(Snapshot { seq, view, changes, health }));
+        drop(current);
+        // Freeing the old snapshot (when no reader holds it) happens
+        // outside the lock, so readers never wait on it.
+        drop(replaced);
         seq
     }
 
     /// A new reader handle.
     pub fn reader(&self) -> StoreReader {
-        StoreReader { shared: Arc::clone(&self.shared) }
-    }
-
-    /// Runs `f` while the history mutex is held.
-    ///
-    /// Exists so tests can *prove* the current-snapshot read path never
-    /// touches the lock: a [`StoreReader::current`] call inside `f`
-    /// would deadlock if it did. The daemon never calls this.
-    pub fn with_history_locked<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.shared.history.lock().expect("store writer poisoned");
-        f()
+        StoreReader { current: Arc::clone(&self.current) }
     }
 }
 
 impl StoreReader {
-    /// The current snapshot: one `Acquire` pointer load, zero locks,
-    /// zero allocations, wait-free. The borrow is tied to this handle,
-    /// which keeps the backing memory alive.
-    pub fn current(&self) -> &Snapshot {
-        // SAFETY: the pointer was published by `publish` (or `new`) and
-        // targets a `Snapshot` owned by an `Arc` in `history`, which is
-        // append-only — no published snapshot is ever dropped while
-        // `self.shared` lives, and the returned borrow cannot outlive
-        // `&self`, which borrows `self.shared`.
-        unsafe { &*self.shared.current.load(Ordering::Acquire) }
-    }
-
-    /// Number of snapshots ever published (incl. the initial empty one).
-    /// Takes the history lock — not part of the query read path.
-    pub fn snapshot_count(&self) -> u64 {
-        self.shared.history.lock().expect("store writer poisoned").len() as u64
-    }
-
-    /// A past snapshot by sequence number, or `None` when out of range.
-    /// Takes the history lock — not part of the query read path.
-    pub fn snapshot(&self, seq: u64) -> Option<Arc<Snapshot>> {
-        self.shared.history.lock().expect("store writer poisoned").get(seq as usize).cloned()
+    /// The current snapshot: one read lock held for one reference-count
+    /// increment, no allocation. The snapshot stays valid for as long as
+    /// the caller holds it, across any number of later publishes.
+    pub fn current(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.current.read().expect("store lock poisoned"))
     }
 }
 
@@ -231,11 +174,10 @@ mod tests {
         assert_eq!(snap.seq, 0);
         assert!(snap.view.is_empty());
         assert!(snap.changes.is_empty());
-        assert_eq!(reader.snapshot_count(), 1);
     }
 
     #[test]
-    fn publish_swings_current_and_retains_history() {
+    fn publish_swings_current() {
         let (store, reader) = ScheduleStore::new();
         assert_eq!(store.publish(view(1, &[4]), Vec::new()), 1);
         assert_eq!(store.publish(view(2, &[4, 9]), Vec::new()), 2);
@@ -243,14 +185,10 @@ mod tests {
         assert_eq!(snap.seq, 2);
         assert_eq!(snap.view.version(), 2);
         assert_eq!(snap.view.len(), 2);
-        // History answers every past version.
-        assert_eq!(reader.snapshot_count(), 3);
-        assert_eq!(reader.snapshot(1).unwrap().view.len(), 1);
-        assert!(reader.snapshot(3).is_none());
     }
 
     #[test]
-    fn a_held_borrow_survives_later_publishes() {
+    fn a_held_snapshot_survives_later_publishes() {
         let (store, reader) = ScheduleStore::new();
         store.publish(view(1, &[2]), Vec::new());
         let old = reader.current();
@@ -258,11 +196,29 @@ mod tests {
         for v in 2..50 {
             store.publish(view(v, &[2, 3]), Vec::new());
         }
-        // The borrow taken before the publishes still reads version 1:
-        // retained history means no use-after-free, ever.
+        // The snapshot taken before the publishes still reads version 1.
         assert_eq!(old.view.version(), 1);
         assert_eq!(old.view.digest(), old_digest);
         assert_eq!(reader.current().view.version(), 49);
+    }
+
+    #[test]
+    fn a_replaced_snapshot_is_freed_once_no_reader_holds_it() {
+        let (store, reader) = ScheduleStore::new();
+        store.publish(view(1, &[2]), Vec::new());
+        let held = reader.current();
+        let first = Arc::downgrade(&held);
+        let second_reader = store.reader();
+        let also_held = second_reader.current();
+        store.publish(view(2, &[2]), Vec::new());
+        store.publish(view(3, &[2]), Vec::new());
+        // Readers still holding it keep it alive...
+        assert_eq!(first.upgrade().map(|s| s.seq), Some(1));
+        drop(held);
+        drop(also_held);
+        // ...and the store itself keeps only the current snapshot.
+        assert!(first.upgrade().is_none(), "the store retained a replaced snapshot");
+        assert_eq!(reader.current().seq, 3);
     }
 
     #[test]

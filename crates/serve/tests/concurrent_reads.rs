@@ -142,7 +142,7 @@ fn a_snapshot_read_mid_round_is_never_torn() {
 }
 
 #[test]
-fn current_read_path_never_touches_the_history_lock() {
+fn a_reader_holding_a_snapshot_does_not_block_a_publish() {
     let (store, reader) = ScheduleStore::new();
     let schedule = LightSchedule {
         light: LightId(3),
@@ -153,18 +153,21 @@ fn current_read_path_never_touches_the_history_lock() {
         snr: 4.0,
         samples: 25,
     };
-    store.publish(
+    // Held across the publish on the same thread: if `current()` kept the
+    // read lock for the life of the snapshot, the publish's write lock
+    // would deadlock here.
+    let held = reader.current();
+    let seq = store.publish(
         ScheduleView::new(1, Some(Timestamp(1000)), vec![(LightId(3), schedule)]),
         Vec::new(),
     );
-    // `current()` (and everything on the view) completes while the
-    // history mutex is held — it would deadlock here if the read path
-    // took the lock.
-    let (seq, digest, wait) = store.with_history_locked(|| {
-        let snap = reader.current();
-        (snap.seq, snap.view.digest(), snap.view.wait_for_green(LightId(3), Timestamp(1005)))
-    });
     assert_eq!(seq, 1);
-    assert_eq!(digest, reader.current().view.digest());
-    assert_eq!(wait, reader.current().view.wait_for_green(LightId(3), Timestamp(1005)));
+    assert_eq!(held.seq, 0);
+    assert!(held.view.is_empty());
+    let snap = reader.current();
+    assert_eq!(snap.seq, 1);
+    assert_eq!(
+        snap.view.wait_for_green(LightId(3), Timestamp(1005)),
+        Some(schedule.wait_for_green(Timestamp(1005)))
+    );
 }

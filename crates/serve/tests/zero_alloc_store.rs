@@ -1,6 +1,7 @@
 //! Counting-allocator proof that the serving query read path is
-//! allocation-free: one current-snapshot load plus a schedule lookup, a
-//! green-wait computation and a digest never touch the heap.
+//! allocation-free: one current-snapshot read (a read lock and an `Arc`
+//! reference-count increment) plus a schedule lookup, a green-wait
+//! computation and a digest never touch the heap.
 //!
 //! Gated behind the test-only `alloc-counter` feature so the global
 //! allocator swap never leaks into ordinary test runs:
@@ -124,8 +125,8 @@ fn store_query_read_path_is_allocation_free() {
 #[test]
 fn publishes_do_not_disturb_a_running_reader_loop() {
     let _serial = ONE_TEST_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner);
-    // Reads stay allocation-free even while the writer publishes:
-    // readers never take the lock and never clone the Arc.
+    // Reads stay allocation-free even while the writer publishes: a read
+    // only bumps the current snapshot's reference count.
     let (store, reader) = ScheduleStore::new();
     store.publish(populated_view(100), Vec::new());
     let _ = reader.current().view.digest(); // warm
@@ -147,7 +148,7 @@ fn publishes_do_not_disturb_a_running_reader_loop() {
             store.publish(populated_view(100), Vec::new());
         }
         let (before, after, _acc) = handle.join().unwrap();
-        // The writer allocates (snapshots, history growth) — but those
+        // The writer allocates (each new snapshot) — but those
         // allocations happen on the *writer* thread. The reader's own
         // path must stay clean; the counter is global, so tolerate the
         // concurrent writer by bounding, not equating: the reader does

@@ -10,6 +10,7 @@
 //! statistics/histograms) and is depended on by the road network, the
 //! simulator and the identification pipeline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod corrupt;

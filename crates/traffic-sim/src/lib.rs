@@ -17,6 +17,7 @@
 //!
 //! [`SignalMap`]: lights::SignalMap
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod city;

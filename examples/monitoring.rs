@@ -70,7 +70,7 @@ fn main() {
         .expect("some light has data");
     println!("monitoring light {:?}\n", light);
 
-    let mut monitor = ScheduleMonitor::new(600);
+    let mut monitor = ScheduleMonitor::new(20.0, 2);
     println!("{:>8} {:>12} {:>12}", "time", "est cycle", "truth");
     let mut t = start.offset(cfg.window_s as i64);
     while t <= start.offset(horizon_s) {
@@ -84,7 +84,7 @@ fn main() {
     }
 
     // Detect the programme switches from the monitored series.
-    let events = monitor.detect_changes(20.0, 2);
+    let events = monitor.changes();
     println!("\ndetected scheduling changes:");
     if events.is_empty() {
         println!("  (none)");

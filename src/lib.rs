@@ -36,6 +36,7 @@
 //! assert!(!outcome.results.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use taxilight_core as core;

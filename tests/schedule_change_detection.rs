@@ -1,6 +1,6 @@
 //! Integration: the continuous monitor detects a pre-programmed programme
 //! switch from simulated traces (the paper's Sec. VII / Fig. 12 behaviour),
-//! and the day-over-day historical correction vetoes outliers.
+//! with the right direction, levels and latency.
 
 use taxilight::core::monitor::ScheduleMonitor;
 use taxilight::core::{Identifier, IdentifyConfig, IdentifyRequest, Preprocessor};
@@ -50,7 +50,8 @@ fn detects_preprogrammed_switch_from_traces() {
         .max_by_key(|&l| parts.observations(l).len())
         .expect("a light has data");
 
-    let mut monitor = ScheduleMonitor::new(600);
+    let mut monitor = ScheduleMonitor::new(25.0, 2);
+    let mut history = Vec::new();
     let mut t = start.offset(cfg.window_s as i64);
     while t <= start.offset(horizon) {
         let cycle = engine
@@ -59,15 +60,12 @@ fn detects_preprogrammed_switch_from_traces() {
             .ok()
             .map(|e| e.cycle_s);
         monitor.push(t, cycle);
+        history.push((t, cycle));
         t = t.offset(600);
     }
 
-    let events = monitor.detect_changes(25.0, 2);
-    assert!(
-        !events.is_empty(),
-        "the 80→140 s switch must be detected; history: {:?}",
-        monitor.history()
-    );
+    let events = monitor.changes();
+    assert!(!events.is_empty(), "the 80→140 s switch must be detected; history: {history:?}");
     let switch = &events[0];
     assert!(
         switch.to_cycle_s > switch.from_cycle_s,
