@@ -85,13 +85,15 @@ fn throughput() {
     }
 }
 
-/// Kernel microbenchmark: times the radix-2 butterfly's selected body
-/// (SSE2 on x86_64) against its scalar reference over every stage of an
-/// 8 192-point transform, in alternating pairs, proves the outputs
-/// bit-identical, and archives the machine-readable report as
-/// `BENCH_kernels.json` (the artifact CI uploads). Speedups are
-/// machine-dependent; the workload section (seed, shape, bit-identity +
-/// checksum) is byte-identical across runs of the same seed.
+/// Kernel microbenchmark: times the selected bodies (SSE2 on x86_64) of
+/// the radix-2 butterfly, over every stage of an 8 192-point transform,
+/// and of the fold, over one light's refinement grid, against their scalar
+/// references in alternating pairs, checks the outputs bit-identical, and
+/// archives the machine-readable report as `BENCH_kernels.json` (the
+/// artifact CI uploads). The run exits 1 if either body diverges from its
+/// reference. Speedups are machine-dependent; the workload section (seed,
+/// shapes, bit-identity + checksums) is byte-identical across runs of the
+/// same seed.
 fn kernels() {
     use taxilight_bench::kernels::{run_kernel_bench, KernelBenchConfig};
     let cfg = if std::env::args().any(|a| a == "--quick") {
@@ -107,6 +109,10 @@ fn kernels() {
     match std::fs::write(path, report.to_json()) {
         Ok(()) => println!("wrote {path}"),
         Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+    if !report.bit_identical() {
+        eprintln!("FAIL: a selected kernel body diverged from its scalar reference");
+        std::process::exit(1);
     }
 }
 

@@ -165,6 +165,14 @@ pub struct ThroughputReport {
     /// serial lap — a subset of [`Self::stage_cycle_s`] plus the resample
     /// work of stage 3, seconds.
     pub stage_kernel_s: f64,
+    /// Resampling onto the 1 Hz grid within [`Self::stage_cycle_s`],
+    /// seconds.
+    pub stage_resample_s: f64,
+    /// Spectrum and period search within [`Self::stage_cycle_s`],
+    /// seconds.
+    pub stage_spectrum_s: f64,
+    /// Fold validation within [`Self::stage_cycle_s`], seconds.
+    pub stage_fold_s: f64,
     /// FFT plan-cache hits during the serial lap.
     pub plan_hits: u64,
     /// FFT plan-cache misses during the serial lap.
@@ -339,6 +347,9 @@ pub fn run_throughput(cfg: &ThroughputConfig) -> ThroughputReport {
         stage_red_s: stage.red_s(),
         stage_change_s: stage.change_s(),
         stage_kernel_s: stage.kernel_s(),
+        stage_resample_s: stage.resample_s(),
+        stage_spectrum_s: stage.spectrum_s(),
+        stage_fold_s: stage.fold_s(),
         plan_hits: plan.hits(),
         plan_misses: plan.misses(),
         latency_ms_p50: percentile(&latencies_ms, 0.50),
@@ -464,6 +475,15 @@ impl ThroughputReport {
         w.raw(",");
         w.key("kernel_s");
         w.f64(self.stage_kernel_s);
+        w.raw(",");
+        w.key("resample_s");
+        w.f64(self.stage_resample_s);
+        w.raw(",");
+        w.key("spectrum_s");
+        w.f64(self.stage_spectrum_s);
+        w.raw(",");
+        w.key("fold_s");
+        w.f64(self.stage_fold_s);
         w.raw("},");
         w.key("plan_cache");
         w.raw("{");
@@ -581,6 +601,10 @@ impl ThroughputReport {
                 100.0 * self.plan_hit_rate()
             ),
             format!(
+                "cycle stage: resample {:.3} s  spectrum {:.3} s  fold validation {:.3} s",
+                self.stage_resample_s, self.stage_spectrum_s, self.stage_fold_s
+            ),
+            format!(
                 "ingest: {:.3} s  ({:.0} records/s batched real-time extend)",
                 self.ingest_elapsed_s,
                 rate(self.records, self.ingest_elapsed_s)
@@ -631,6 +655,9 @@ mod tests {
             stage_red_s: 0.4,
             stage_change_s: 0.3,
             stage_kernel_s: 0.6,
+            stage_resample_s: 0.05,
+            stage_spectrum_s: 0.3,
+            stage_fold_s: 1.25,
             plan_hits: 46,
             plan_misses: 2,
             latency_ms_p50: 10.25,
@@ -686,6 +713,9 @@ mod tests {
             "\"stages\"",
             "\"cycle_s\"",
             "\"kernel_s\"",
+            "\"resample_s\"",
+            "\"spectrum_s\"",
+            "\"fold_s\"",
             "\"plan_cache\"",
             "\"hits\":46",
             "\"misses\":2",
@@ -751,6 +781,9 @@ mod tests {
             a.stage_kernel_s < a.stage_cycle_s + a.stage_change_s,
             "kernel time exceeds stages"
         );
+        let split = [a.stage_resample_s, a.stage_spectrum_s, a.stage_fold_s];
+        assert!(split.iter().all(|&s| s > 0.0), "a cycle-stage part recorded no time: {split:?}");
+        assert!(split.iter().sum::<f64>() <= a.stage_cycle_s, "the parts exceed the cycle stage");
         assert_eq!(a.serial_bin.samples, cfg.samples, "serial bin lost laps");
         assert!(a.serial_bin.min <= a.serial_elapsed_s && a.serial_elapsed_s <= a.serial_bin.max);
         assert!(a.nproc >= 1);

@@ -13,6 +13,7 @@
 use crate::config::{CycleMethod, IdentifyConfig};
 use crate::preprocess::LightObs;
 use crate::workspace::IdentifyWorkspace;
+use std::time::Instant;
 use taxilight_obs::{span, Field, FieldValue};
 use taxilight_signal::interpolate::InterpolateError;
 use taxilight_signal::periodogram::PeriodEstimate;
@@ -139,9 +140,17 @@ impl IdentifyWorkspace {
                 need: cfg.min_samples,
             });
         }
-        self.signal
-            .resample_into(&self.finite, 0.0, 1.0, window_len_s, cfg.interpolation, &mut self.grid)
-            .map_err(CycleError::Interpolation)?;
+        let resample_start = Instant::now();
+        let resampled = self.signal.resample_into(
+            &self.finite,
+            0.0,
+            1.0,
+            window_len_s,
+            cfg.interpolation,
+            &mut self.grid,
+        );
+        self.timings.add_resample(resample_start.elapsed());
+        resampled.map_err(CycleError::Interpolation)?;
         // A light leaves km/h-scale modulation; anything below this is flat
         // traffic (or pure numerical ripple) and the periodogram would only
         // amplify noise.
@@ -151,6 +160,7 @@ impl IdentifyWorkspace {
         // One spectrum yields both the argmax estimate and, for fold
         // validation, the strongest DFT bins.
         let fold_validate = cfg.cycle_method == CycleMethod::Dft && cfg.fold_validate;
+        let spectrum_start = Instant::now();
         let est = match cfg.cycle_method {
             CycleMethod::Dft => self.signal.period_search(
                 &self.grid,
@@ -164,8 +174,9 @@ impl IdentifyWorkspace {
             CycleMethod::Autocorrelation => {
                 taxilight_signal::autocorr::dominant_period_autocorr(&self.grid, 1.0, cfg.band)
             }
-        }
-        .ok_or(CycleError::NoPeriodicity)?;
+        };
+        self.timings.add_spectrum(spectrum_start.elapsed());
+        let est = est.ok_or(CycleError::NoPeriodicity)?;
         if est.snr < cfg.min_snr {
             return Err(CycleError::NoPeriodicity);
         }
@@ -212,10 +223,14 @@ impl IdentifyWorkspace {
         let samples = self.finite.as_slice();
         let fold_span =
             span!("cycle.fold", samples = samples.len(), candidates = self.candidates.len());
+        let fold_start = Instant::now();
+        // The fold kernel's columns, filled once for every period below.
+        self.fold.fill(samples);
+        let columns = &self.fold;
         let mut folds = 0u64;
         let mut fold_at = |p: f64| {
             folds += 1;
-            crate::superpose::fold_contrast(samples, p)
+            crate::superpose::fold_contrast_of(columns, p)
         };
         // Scored in candidate order; `max_by` keeps the last of equal
         // scores. The refinement depends only on the period, so a period
@@ -257,6 +272,7 @@ impl IdentifyWorkspace {
             };
             self.scored.push(Scored { period, score, bin: c.bin, snr: c.snr });
         }
+        self.timings.add_fold(fold_start.elapsed());
         fold_span.end_with(&[Field { key: "folds", value: FieldValue::U64(folds) }]);
         let scored = &self.scored;
         let best_idx = (0..scored.len())

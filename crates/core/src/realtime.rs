@@ -26,6 +26,14 @@ use taxilight_trace::record::TaxiRecord;
 use taxilight_trace::source::{RecordBatch, RecordSource};
 use taxilight_trace::time::Timestamp;
 
+/// Batches smaller than this are map-matched on the calling thread. The
+/// parallel map costs a fixed ~70–80 µs per batch (one
+/// `available_parallelism` call, ~20 µs, and two scoped spawns and joins,
+/// ~50 µs) and on two cores saves at most half of the ~530 ns a record
+/// takes to match (`preprocess.ns_per_record` on perfbench `live`), so it
+/// pays only from ~280 records up (x86_64, 2 logical CPUs).
+const PARALLEL_MATCH_MIN: usize = 256;
+
 /// Intake and round statistics of a [`RealtimeIdentifier`], as of the most
 /// recent re-identification round. Returned by
 /// [`RealtimeIdentifier::round_report`].
@@ -306,7 +314,9 @@ impl<'a> RealtimeIdentifier<'a> {
     ///
     /// Map matching — the spatial-index lookup dominating per-record intake
     /// cost — is a pure function of the record, so the whole batch is
-    /// matched up front in parallel and the results ingested sequentially.
+    /// matched up front and the results ingested sequentially: in parallel
+    /// from `PARALLEL_MATCH_MIN` (256) records up, on the calling thread
+    /// below.
     /// This is observably identical to pushing record by record (the
     /// watermark advances per record, so rounds still fire mid-batch at
     /// exactly the same points), just cheaper.
@@ -314,7 +324,12 @@ impl<'a> RealtimeIdentifier<'a> {
         let batch: Vec<&TaxiRecord> = records.into_iter().collect();
         let matched: Vec<(Timestamp, Option<(LightId, LightObs)>)> = {
             let pre = &self.pre;
-            batch.into_par_iter().map(|r| (r.time, pre.match_record(r))).collect()
+            let match_one = |r: &TaxiRecord| (r.time, pre.match_record(r));
+            if batch.len() < PARALLEL_MATCH_MIN {
+                batch.into_iter().map(match_one).collect()
+            } else {
+                batch.into_par_iter().map(match_one).collect()
+            }
         };
         for (t, m) in matched {
             self.ingest(t, m);

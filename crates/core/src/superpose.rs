@@ -5,8 +5,16 @@
 //! enough samples per within-cycle offset to see the red/green pattern.
 //! Superposition preserves relative position within the cycle, so the
 //! signal-change time is unchanged.
+//!
+//! Fold validation scores a candidate period by the same fold, coarsened
+//! to twelve phase bins ([`fold_contrast`]). Its per-sample loop is the
+//! `taxilight_signal::kernels::fold_bins` kernel, an SSE2 body with a
+//! scalar reference; the proof that both take `t.rem_euclid(cycle)` bit
+//! for bit without `fmod` lives with that kernel. This module keeps the
+//! ANOVA finish, and this crate stays free of `unsafe`.
 
 use crate::workspace::IdentifyWorkspace;
+use taxilight_signal::kernels::{self, FoldBins, FoldColumns, FOLD_BINS};
 
 /// Folds `(t_abs_s, value)` samples into one cycle of length `cycle_s`.
 /// The fold anchor is absolute time 0, so a folded coordinate `x`
@@ -129,60 +137,47 @@ pub fn cycle_profile(samples: &[(f64, f64)], cycle_s: f64) -> Vec<f64> {
 /// noise contribution `(B−1)·σ̂²_within` is subtracted — the standard
 /// ANOVA correction.
 ///
-/// Each sample's phase is `t.rem_euclid(cycle_s) / cycle_s` bit for bit,
-/// but the remainder is taken without libm's `fmod` wherever
-/// `0 ≤ t/cycle_s < 2²⁶` and `cycle_s` is normal. There `cycle_s` splits
-/// into `hi` (its top 26 significant bits) and `lo = cycle_s − hi`, both
-/// exact, and `q = trunc(t / cycle_s)` is the true quotient `n` or `n + 1`
-/// (the division may round up onto the next integer). Then every step of
-/// `r = (t − q·hi) − q·lo` is exact: `q·hi` and `q·lo` fit in 53 bits;
-/// `t − q·hi` is exact because `q·hi` lies within a factor of two of `t`
-/// or, when `q = 1` and `hi < t/2`, on `t`'s own grid; and the final
-/// difference is `t − q·cycle_s`, which is either `fmod`'s result or that
-/// minus `cycle_s`, a few ulps of `t` at most — both representable. Adding
-/// `cycle_s` back when `r < 0` therefore lands exactly on `fmod`'s result.
-/// Outside that domain (negative or huge `t`, non-finite values, a
-/// subnormal or infinite `cycle_s`) the sample folds with `rem_euclid`.
+/// The fold itself — each sample's phase bin from `t.rem_euclid(cycle_s)`,
+/// bit for bit, and each bin's `Σv`, `Σv²` and count — is the
+/// [`taxilight_signal::kernels::fold_bins`] kernel, whose docs give the
+/// exact remainder without libm's `fmod` and the SSE2 body's argument.
+/// This function fills the kernel's columns for one call; the cycle stage
+/// fills them once per light and folds them at every candidate period.
 ///
 /// Returns 0 for degenerate inputs (fewer than ~2 samples per bin on
 /// average, zero variance).
+///
+/// # Panics
+/// Panics when `cycle_s` is not positive.
 pub fn fold_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
-    let fold = ExactFold::new(cycle_s);
-    contrast_with(samples, cycle_s, |t| fold.rem(t))
+    let mut cols = FoldColumns::new();
+    cols.fill(samples);
+    fold_contrast_of(&cols, cycle_s)
 }
 
-/// The body of [`fold_contrast`] over a remainder `rem(t) = t mod
-/// cycle_s`; the tests run it with `rem_euclid` as the reference.
-#[inline(always)]
-fn contrast_with(samples: &[(f64, f64)], cycle_s: f64, rem: impl Fn(f64) -> f64) -> f64 {
-    const BINS: usize = 12;
+/// [`fold_contrast`] of the samples in `cols`.
+pub(crate) fn fold_contrast_of(cols: &FoldColumns, cycle_s: f64) -> f64 {
     assert!(cycle_s > 0.0, "cycle must be positive");
-    let n = samples.len();
-    if n < 2 * BINS {
+    if cols.len() < 2 * FOLD_BINS {
         return 0.0;
     }
-    let mut sums = [0.0f64; BINS];
-    let mut sq = [0.0f64; BINS];
-    let mut counts = [0usize; BINS];
-    for &(t, v) in samples {
-        let phase = rem(t) / cycle_s;
-        let b = ((phase * BINS as f64) as usize).min(BINS - 1);
-        sums[b] += v;
-        sq[b] += v * v;
-        counts[b] += 1;
-    }
-    let total: f64 = sums.iter().sum();
+    anova_contrast(&kernels::fold_bins(cols, cycle_s), cols.len())
+}
+
+/// The noise-corrected R² of `n` samples folded into `bins`.
+fn anova_contrast(bins: &FoldBins, n: usize) -> f64 {
+    let total: f64 = bins.sums.iter().map(|s| s[0]).sum();
     let mu = total / n as f64;
-    let tss: f64 = sq.iter().sum::<f64>() - n as f64 * mu * mu;
+    let tss: f64 = bins.sums.iter().map(|s| s[1]).sum::<f64>() - n as f64 * mu * mu;
     if tss <= 1e-9 {
         return 0.0;
     }
     let mut bss = 0.0;
     let mut occupied = 0usize;
-    for b in 0..BINS {
-        if counts[b] > 0 {
-            let m = sums[b] / counts[b] as f64;
-            bss += counts[b] as f64 * (m - mu) * (m - mu);
+    for (s, &count) in bins.sums.iter().zip(&bins.counts) {
+        if count > 0 {
+            let m = s[0] / count as f64;
+            bss += count as f64 * (m - mu) * (m - mu);
             occupied += 1;
         }
     }
@@ -190,43 +185,6 @@ fn contrast_with(samples: &[(f64, f64)], cycle_s: f64, rem: impl Fn(f64) -> f64)
     let df_within = n.saturating_sub(occupied).max(1) as f64;
     let noise = (occupied.saturating_sub(1)) as f64 * wss / df_within;
     ((bss - noise) / tss).clamp(0.0, 1.0)
-}
-
-/// `t.rem_euclid(cycle)`, bit for bit, without `fmod` on the domain
-/// [`fold_contrast`] documents.
-struct ExactFold {
-    cycle: f64,
-    /// `cycle` with the low 27 mantissa bits cleared.
-    hi: f64,
-    /// `cycle − hi`, exact.
-    lo: f64,
-    /// Largest quotient taken on the fast path: 2²⁶ for a normal `cycle`,
-    /// 0 (every sample falls back) otherwise.
-    limit: f64,
-}
-
-impl ExactFold {
-    fn new(cycle: f64) -> Self {
-        let hi = f64::from_bits(cycle.to_bits() & !((1u64 << 27) - 1));
-        let limit = if cycle.is_normal() { (1u64 << 26) as f64 } else { 0.0 };
-        ExactFold { cycle, hi, lo: cycle - hi, limit }
-    }
-
-    #[inline(always)]
-    fn rem(&self, t: f64) -> f64 {
-        let q = t / self.cycle;
-        if q >= 0.0 && q < self.limit {
-            let q = q as i64 as f64;
-            let r = (t - q * self.hi) - q * self.lo;
-            if r < 0.0 {
-                r + self.cycle
-            } else {
-                r
-            }
-        } else {
-            t.rem_euclid(self.cycle)
-        }
-    }
 }
 
 impl IdentifyWorkspace {
@@ -345,69 +303,22 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
-        /// The reference for [`fold_contrast`]: its body, folding with
-        /// `rem_euclid` (libm's `fmod`).
+        /// The reference for [`fold_contrast`]: each sample's phase bin
+        /// from `rem_euclid` (libm's `fmod`), each bin summed in sample
+        /// order, then the same ANOVA finish.
         fn rem_euclid_contrast(samples: &[(f64, f64)], cycle_s: f64) -> f64 {
-            contrast_with(samples, cycle_s, |t| t.rem_euclid(cycle_s))
-        }
-
-        /// `x` moved by `ulps` units in the last place (`x > 0`).
-        fn ulps_away(x: f64, ulps: i64) -> f64 {
-            f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
-        }
-
-        fn same_as_rem_euclid(t: f64, cycle: f64) -> Result<(), TestCaseError> {
-            let (got, want) = (ExactFold::new(cycle).rem(t), t.rem_euclid(cycle));
-            prop_assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "t {t:e} cycle {cycle:e}: {got:e} vs {want:e}"
-            );
-            Ok(())
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(4096))]
-
-            #[test]
-            fn exact_fold_equals_rem_euclid_bit_for_bit(
-                cycle in 5.0f64..400.0,
-                shape in 0u32..3,
-                whole in 0u64..=1_000_000,
-                frac in 0.0f64..1.0,
-                ulps in -3i64..=3,
-                tiny in 1u64..(1u64 << 52),
-            ) {
-                // Periods as the refinement grid makes them: any value,
-                // whole seconds and quarter seconds.
-                let cycle = match shape {
-                    0 => cycle,
-                    1 => cycle.round(),
-                    _ => (cycle * 4.0).round() / 4.0,
-                };
-                let t_int = whole as f64;
-                let t_frac = frac * 1e6;
-                // Within ±3 ulps of a whole number of cycles, where the
-                // quotient rounds up onto the next integer.
-                let k = (t_frac / cycle).round().max(1.0);
-                let near_multiple = ulps_away(k * cycle, ulps);
-                let ts = [t_int, t_frac, near_multiple, 0.0, ulps_away(cycle, ulps)];
-                for t in ts {
-                    same_as_rem_euclid(t, cycle)?;
-                    // Fallback domain: negative t.
-                    same_as_rem_euclid(-t, cycle)?;
-                }
-                // Fallback domain: t/cycle at and beyond 2^26.
-                let edge = cycle * (1u64 << 26) as f64;
-                for t in [ulps_away(edge, ulps), edge * (1.0 + frac), t_frac * 1e9] {
-                    same_as_rem_euclid(t, cycle)?;
-                }
-                // Fallback domain: a subnormal cycle.
-                let subnormal = f64::from_bits(tiny);
-                for t in [t_frac * 1e-300, ulps_away(subnormal * 3.0, ulps), t_int] {
-                    same_as_rem_euclid(t, subnormal)?;
-                }
+            if samples.len() < 2 * FOLD_BINS {
+                return 0.0;
             }
+            let mut bins = FoldBins::default();
+            for &(t, v) in samples {
+                let phase = t.rem_euclid(cycle_s) / cycle_s;
+                let b = ((phase * FOLD_BINS as f64) as usize).min(FOLD_BINS - 1);
+                bins.sums[b][0] += v;
+                bins.sums[b][1] += v * v;
+                bins.counts[b] += 1;
+            }
+            anova_contrast(&bins, samples.len())
         }
 
         proptest! {

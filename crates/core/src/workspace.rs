@@ -25,6 +25,7 @@
 use std::collections::HashSet;
 
 use crate::red::Stop;
+use taxilight_signal::kernels::FoldColumns;
 use taxilight_signal::periodogram::PeriodEstimate;
 use taxilight_signal::plan::PlanCacheStats;
 use taxilight_signal::SignalWorkspace;
@@ -52,13 +53,19 @@ pub struct StageTimings {
     /// the signal workspace after each stage-1 lap so traces can separate
     /// vectorized-kernel time from surrounding orchestration.
     kernel_ns: u64,
+    /// Within `cycle_ns`: resampling the samples onto the 1 Hz grid.
+    resample_ns: u64,
+    /// Within `cycle_ns`: the spectrum and period search over the grid.
+    spectrum_ns: u64,
+    /// Within `cycle_ns`: fold validation, every candidate refined.
+    fold_ns: u64,
 }
 
 impl StageTimings {
     /// Builds timings from explicit per-stage nanosecond totals (tests
     /// and report plumbing; the pipeline uses the `add_*` accumulators).
     pub fn from_nanos(cycle_ns: u64, red_ns: u64, change_ns: u64) -> Self {
-        StageTimings { cycle_ns, red_ns, change_ns, kernel_ns: 0 }
+        StageTimings { cycle_ns, red_ns, change_ns, ..StageTimings::default() }
     }
 
     /// Accumulates one stage-1 (cycle) lap.
@@ -77,6 +84,24 @@ impl StageTimings {
     #[inline]
     pub fn add_change(&mut self, elapsed: std::time::Duration) {
         self.change_ns += elapsed.as_nanos() as u64;
+    }
+
+    /// Accumulates one resampling lap within stage 1.
+    #[inline]
+    pub fn add_resample(&mut self, elapsed: std::time::Duration) {
+        self.resample_ns += elapsed.as_nanos() as u64;
+    }
+
+    /// Accumulates one spectrum and period-search lap within stage 1.
+    #[inline]
+    pub fn add_spectrum(&mut self, elapsed: std::time::Duration) {
+        self.spectrum_ns += elapsed.as_nanos() as u64;
+    }
+
+    /// Accumulates one fold-validation lap within stage 1.
+    #[inline]
+    pub fn add_fold(&mut self, elapsed: std::time::Duration) {
+        self.fold_ns += elapsed.as_nanos() as u64;
     }
 
     /// Accumulates nanoseconds spent inside dispatched signal kernels
@@ -111,9 +136,30 @@ impl StageTimings {
         self.kernel_ns
     }
 
+    /// Resampling total (within the cycle stage), seconds.
+    pub fn resample_s(&self) -> f64 {
+        self.resample_ns as f64 * 1e-9
+    }
+
+    /// Spectrum and period-search total (within the cycle stage), seconds.
+    pub fn spectrum_s(&self) -> f64 {
+        self.spectrum_ns as f64 * 1e-9
+    }
+
+    /// Fold-validation total (within the cycle stage), seconds.
+    pub fn fold_s(&self) -> f64 {
+        self.fold_ns as f64 * 1e-9
+    }
+
     /// Raw `(cycle, red, change)` nanosecond totals.
     pub fn as_nanos(&self) -> (u64, u64, u64) {
         (self.cycle_ns, self.red_ns, self.change_ns)
+    }
+
+    /// Raw `(resample, spectrum, fold)` nanosecond totals, the parts of
+    /// the cycle stage.
+    pub fn cycle_split_nanos(&self) -> (u64, u64, u64) {
+        (self.resample_ns, self.spectrum_ns, self.fold_ns)
     }
 
     /// Adds another accumulation (e.g. a sibling worker's) into this
@@ -123,6 +169,9 @@ impl StageTimings {
         self.red_ns += other.red_ns;
         self.change_ns += other.change_ns;
         self.kernel_ns += other.kernel_ns;
+        self.resample_ns += other.resample_ns;
+        self.spectrum_ns += other.spectrum_ns;
+        self.fold_ns += other.fold_ns;
     }
 
     /// Total across all stages, seconds.
@@ -151,6 +200,8 @@ pub struct IdentifyWorkspace {
     pub(crate) candidates: Vec<PeriodEstimate>,
     /// Refined period and fold score per candidate.
     pub(crate) scored: Vec<crate::cycle::Scored>,
+    /// The fold kernel's sample columns, filled once per call.
+    pub(crate) fold: FoldColumns,
     // --- enhancement stage ---
     /// Slot-merged primary samples.
     pub(crate) prim: Vec<(f64, f64)>,
@@ -238,7 +289,14 @@ mod tests {
         // independent of worker count and merge order — the property the
         // engine relies on for sharded == serial stage totals.
         let parts: Vec<StageTimings> = (0..7u64)
-            .map(|k| StageTimings::from_nanos(k * 13 + 1, k * 7 + 2, k * 29 + 3))
+            .map(|k| {
+                let mut t = StageTimings::from_nanos(k * 13 + 1, k * 7 + 2, k * 29 + 3);
+                t.add_resample(std::time::Duration::from_nanos(k * 3 + 1));
+                t.add_spectrum(std::time::Duration::from_nanos(k * 5 + 2));
+                t.add_fold(std::time::Duration::from_nanos(k * 11 + 3));
+                t.add_kernel_ns(k * 2 + 1);
+                t
+            })
             .collect();
         let mut forward = StageTimings::default();
         for p in &parts {
@@ -265,6 +323,8 @@ mod tests {
         }
         assert_eq!(forward, reverse);
         assert_eq!(forward, pairs[0]);
+        assert_eq!(forward.cycle_split_nanos(), (70, 119, 252));
+        assert_eq!(forward.kernel_nanos(), 49);
     }
 
     #[test]

@@ -129,6 +129,28 @@ fn sharded_stage_and_plan_totals_merge_like_serial() {
     let s = serial.stats.stage_timings.total_s();
     let p = sharded.stats.stage_timings.total_s();
     assert!(p < s * 4.0 + 0.5 && s < p * 4.0 + 0.5, "serial {s} s vs sharded {p} s");
+    // The cycle stage's split — resample, spectrum, fold validation —
+    // merges the same way: every part positive, the parts within their
+    // stage, and the two modes' totals within the same generous factor.
+    for (mode, timings) in
+        [("serial", serial.stats.stage_timings), ("sharded", sharded.stats.stage_timings)]
+    {
+        let (resample, spectrum, fold) = timings.cycle_split_nanos();
+        let (cycle, _, _) = timings.as_nanos();
+        for v in [resample, spectrum, fold] {
+            assert!(
+                v > 0,
+                "{mode}: a cycle-stage part accumulated zero time: {resample} {spectrum} {fold}"
+            );
+        }
+        assert!(
+            resample + spectrum + fold <= cycle,
+            "{mode}: the parts {resample} + {spectrum} + {fold} ns exceed the cycle stage's {cycle} ns"
+        );
+    }
+    let split_s = |t: taxilight_core::StageTimings| t.resample_s() + t.spectrum_s() + t.fold_s();
+    let (s, p) = (split_s(serial.stats.stage_timings), split_s(sharded.stats.stage_timings));
+    assert!(p < s * 4.0 + 0.5 && s < p * 4.0 + 0.5, "serial split {s} s vs sharded {p} s");
 }
 
 #[test]

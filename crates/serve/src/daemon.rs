@@ -69,7 +69,8 @@ pub struct DaemonConfig {
     /// Bounded depth of the decode → identify channel, in batches. The
     /// knob that trades burst absorption against backpressure latency.
     pub channel_batches: usize,
-    /// Decode chunk size (bytes for CSV, ~records/64 for ND-JSON).
+    /// Decode chunk size: the most bytes one read of the feed socket
+    /// takes, for either format.
     pub chunk: usize,
     /// `/healthz` staleness threshold: wall seconds without a snapshot
     /// publish (or, before the first publish, since start) after which

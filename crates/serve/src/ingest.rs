@@ -47,8 +47,11 @@ impl FeedFormat {
     }
 }
 
-/// Streams ND-JSON records from any [`Read`], at most `chunk_records`
-/// per batch. Unknown plates are learned into the internal [`Fleet`] in
+/// Streams ND-JSON records from any [`Read`] through a `chunk_bytes`
+/// read buffer. A batch is every line one read completes: it ends at the
+/// last complete line already buffered, so no read waits for later lines
+/// while the batch holds one, and a burst still decodes in chunk-sized
+/// batches. Unknown plates are learned into the internal [`Fleet`] in
 /// feed order — the same rule as CSV decoding, so the record sequence is
 /// independent of batching. Lines are read by the same bounded
 /// [`LineReader`] as CSV files: a non-UTF-8 or overlong line is one bad
@@ -56,20 +59,21 @@ impl FeedFormat {
 pub struct NdJsonReader<R: Read> {
     lines: LineReader<BufReader<R>>,
     fleet: Fleet,
-    chunk_records: usize,
     record_total: u64,
     bad_line_total: u64,
     done: bool,
 }
 
 impl<R: Read> NdJsonReader<R> {
-    /// Wraps a reader; each batch decodes up to `chunk_records` lines
-    /// (`0` is treated as 1).
-    pub fn new(reader: R, chunk_records: usize) -> Self {
+    /// Wraps a reader; each read takes at most `chunk_bytes` (`0` is
+    /// treated as 1).
+    pub fn new(reader: R, chunk_bytes: usize) -> Self {
         NdJsonReader {
-            lines: LineReader::new(BufReader::new(reader), decode_record_json),
+            lines: LineReader::new(
+                BufReader::with_capacity(chunk_bytes.max(1), reader),
+                decode_record_json,
+            ),
             fleet: Fleet::new(),
-            chunk_records: chunk_records.max(1),
             record_total: 0,
             bad_line_total: 0,
             done: false,
@@ -98,14 +102,18 @@ impl<R: Read> RecordSource for NdJsonReader<R> {
         if self.done {
             return Ok(false);
         }
-        while batch.records.len() + batch.bad_lines.len() < self.chunk_records {
-            match self.lines.next_line(&mut self.fleet)? {
+        // Read until the batch holds a line, then take only the lines the
+        // buffer already holds whole.
+        while (batch.records.is_empty() && batch.bad_lines.is_empty()) || self.lines.line_buffered()
+        {
+            match self.lines.next_any_line(&mut self.fleet)? {
                 None => {
                     self.done = true;
                     break;
                 }
-                Some((_, Ok(r))) => batch.records.push(r),
-                Some((n, Err(e))) => batch.bad_lines.push((n, e)),
+                Some((_, None)) => {}
+                Some((_, Some(Ok(r)))) => batch.records.push(r),
+                Some((n, Some(Err(e)))) => batch.bad_lines.push((n, e)),
             }
         }
         self.record_total += batch.records.len() as u64;
@@ -226,17 +234,18 @@ pub fn encode_log_json(records: &[TaxiRecord], fleet: &Fleet) -> Result<String, 
 pub enum FeedSource<R: Read> {
     /// Table-I CSV in bounded byte chunks.
     Csv(CsvChunkReader<R>),
-    /// ND-JSON in bounded record-count chunks.
+    /// ND-JSON through a bounded read buffer.
     NdJson(NdJsonReader<R>),
 }
 
 impl<R: Read> FeedSource<R> {
-    /// Wraps `reader` in a decoder for `format`. `chunk` is bytes for
-    /// CSV, records for ND-JSON — both bound resident memory per batch.
+    /// Wraps `reader` in a decoder for `format`. `chunk` is the most
+    /// bytes one read takes, for either format; it bounds resident memory
+    /// per batch.
     pub fn new(reader: R, format: FeedFormat, chunk: usize) -> Self {
         match format {
             FeedFormat::Csv => FeedSource::Csv(CsvChunkReader::new(reader, chunk)),
-            FeedFormat::NdJson => FeedSource::NdJson(NdJsonReader::new(reader, chunk / 64 + 1)),
+            FeedFormat::NdJson => FeedSource::NdJson(NdJsonReader::new(reader, chunk)),
         }
     }
 
@@ -319,6 +328,56 @@ mod tests {
             assert_eq!(src.record_total(), records.len() as u64);
             assert_eq!(src.fleet().len(), fleet.len());
         }
+    }
+
+    /// Serves its bytes in one read and panics on any further read.
+    struct OneRead(Option<Vec<u8>>);
+
+    impl Read for OneRead {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let bytes = self.0.take().expect("a second read: the batch waited for more lines");
+            buf[..bytes.len()].copy_from_slice(&bytes);
+            Ok(bytes.len())
+        }
+    }
+
+    #[test]
+    fn ndjson_batch_ends_at_the_last_buffered_line() {
+        // Three whole lines and the start of a fourth arrive in one read;
+        // the batch is those three, taken without reading again, however
+        // many more lines the chunk could hold.
+        let (records, fleet) = sample(4);
+        let text = encode_log_json(&records, &fleet).unwrap();
+        let cut = text.match_indices('\n').nth(2).unwrap().0 + 10;
+        let mut src = NdJsonReader::new(OneRead(Some(text.as_bytes()[..cut].to_vec())), 1 << 16);
+        let mut batch = RecordBatch::new();
+        assert!(src.next_batch(&mut batch).unwrap());
+        assert_eq!(batch.records, records[..3]);
+        assert!(batch.bad_lines.is_empty());
+        assert_eq!(src.record_total(), 3);
+    }
+
+    #[test]
+    fn ndjson_burst_decodes_in_chunk_sized_batches() {
+        // A burst larger than the chunk: each batch is the lines one
+        // chunk-sized read completes, and together they are the feed.
+        let (records, fleet) = sample(200);
+        let text = encode_log_json(&records, &fleet).unwrap();
+        let chunk = 4096;
+        let mut src = NdJsonReader::new(Cursor::new(text.as_bytes()), chunk);
+        let (mut batch, mut got, mut batches) = (RecordBatch::new(), Vec::new(), 0);
+        while src.next_batch(&mut batch).unwrap() {
+            let longest = text.lines().map(str::len).max().unwrap();
+            assert!(
+                batch.records.len() <= chunk / (longest / 2),
+                "{} records",
+                batch.records.len()
+            );
+            got.extend_from_slice(&batch.records);
+            batches += 1;
+        }
+        assert_eq!(got, records);
+        assert!(batches >= text.len() / chunk, "{batches} batches for {} bytes", text.len());
     }
 
     #[test]

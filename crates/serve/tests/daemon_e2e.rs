@@ -318,6 +318,65 @@ fn daemon_ndjson_feed_matches_offline_replay() {
     run_case(FeedFormat::NdJson, &world().ndjson, Some(Arc::new(FlightRecorder::new())));
 }
 
+/// A round publishes as soon as its trigger record is on the socket, with
+/// the feed connection still open: the ND-JSON decoder holds no record
+/// back waiting for later lines.
+#[test]
+fn ndjson_round_publishes_while_the_feed_stays_open() {
+    let w = world();
+    let cfg = DaemonConfig { format: FeedFormat::NdJson, ..DaemonConfig::default() };
+    // Replay the feed record by record to find the first round's trigger
+    // and the version that round publishes.
+    let mut source =
+        FeedSource::new(Cursor::new(w.ndjson.as_bytes()), FeedFormat::NdJson, cfg.chunk);
+    let (records, _) = collect_source(&mut source).unwrap();
+    let mut engine = RealtimeIdentifier::builder(&w.net)
+        .config(cfg.identify.clone())
+        .interval_s(cfg.interval_s)
+        .reorder_grace_s(cfg.reorder_grace_s)
+        .build()
+        .unwrap();
+    let trigger = records
+        .iter()
+        .position(|r| {
+            engine.extend(std::iter::once(r));
+            engine.round_report().rounds > 0
+        })
+        .expect("the feed fires a round");
+    let version = engine.view().version();
+    let head: String = w.ndjson.lines().take(trigger + 1).map(|l| format!("{l}\n")).collect();
+
+    let daemon = Daemon::bind(cfg).unwrap();
+    let handle = daemon.handle();
+    let (feed_addr, http_addr) = (handle.feed_addr(), handle.http_addr());
+    // Poll with the feed open, then shut down either way, so a failure
+    // reports instead of waiting on a daemon nobody stops.
+    let stats = std::thread::scope(|scope| {
+        let runner = scope.spawn(|| daemon.run(&w.net));
+        let mut feed = TcpStream::connect(feed_addr).unwrap();
+        feed.write_all(head.as_bytes()).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let stats = loop {
+            let (_, stats) = get_json(http_addr, "/stats");
+            if num(&stats, "version") as u64 == version {
+                break Ok(stats);
+            }
+            if Instant::now() >= deadline {
+                break Err(stats);
+            }
+            std::thread::sleep(Duration::from_millis(50));
+        };
+        drop(feed);
+        handle.shutdown();
+        runner.join().unwrap().unwrap();
+        stats
+    });
+    let stats = stats.unwrap_or_else(|stats| {
+        panic!("version {version} never published with the feed open: {stats:?}")
+    });
+    assert_eq!(num(&stats, "records_processed") as usize, trigger + 1);
+}
+
 /// Kill the feed before any round can fire: with no snapshot publish
 /// inside the threshold, `/healthz` must flip to 503 "stale" — the bug
 /// this pins down is the old static-"ok" health check.

@@ -76,8 +76,8 @@ fn trace_reader(reader: impl std::io::BufRead) -> Decoded {
     Decoded { records, bad, fleet }
 }
 
-fn ndjson(reader: impl Read, chunk_records: usize) -> Decoded {
-    let mut src = NdJsonReader::new(reader, chunk_records);
+fn ndjson(reader: impl Read, chunk_bytes: usize) -> Decoded {
+    let mut src = NdJsonReader::new(reader, chunk_bytes);
     let (records, bad) = collect_source(&mut src).expect("in-memory reads cannot fail");
     Decoded { records, bad, fleet: src.fleet().clone() }
 }
@@ -138,9 +138,9 @@ fn large_fleet_decodes_identically_through_every_reader() {
     // CSV's micro-degree positions and one-decimal speeds are exact in
     // ND-JSON's shortest round-trip floats.
     let nd = encode_log_json(&reference.records, &reference.fleet).unwrap();
-    for chunk_records in [1, 64, 1025] {
-        ndjson(Cursor::new(nd.as_bytes()), chunk_records)
-            .assert_same(&reference, &format!("NdJsonReader chunk_records={chunk_records}"));
+    for chunk_bytes in [1, 64, 1025] {
+        ndjson(Cursor::new(nd.as_bytes()), chunk_bytes)
+            .assert_same(&reference, &format!("NdJsonReader chunk_bytes={chunk_bytes}"));
     }
     // The daemon's own wiring of both formats, at its 64 KiB chunk.
     for (format, bytes) in [(FeedFormat::Csv, csv.as_bytes()), (FeedFormat::NdJson, nd.as_bytes())]
@@ -228,10 +228,10 @@ fn line_bound_is_exact_in_every_reader_at_every_chunk_size() {
         assert_eq!(nd_reference.records.len(), 4, "{term:?}: ND-JSON line at the bound rejected");
         assert_eq!(nd_reference.bad, vec![(OVER_LINE, CsvError::LineTooLong)], "{term:?}");
         for step in [1, 7, MAX_LINE_BYTES + 1] {
-            for chunk_records in [1, 2, 1025] {
-                ndjson(trickle(&nd, step), chunk_records).assert_same(
+            for chunk_bytes in [1, 2, 1025] {
+                ndjson(trickle(&nd, step), chunk_bytes).assert_same(
                     &nd_reference,
-                    &format!("{term:?} NdJsonReader step={step} chunk_records={chunk_records}"),
+                    &format!("{term:?} NdJsonReader step={step} chunk_bytes={chunk_bytes}"),
                 );
             }
         }

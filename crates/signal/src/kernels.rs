@@ -2,23 +2,28 @@
 //!
 //! Every inner loop that dominates a per-light identification lap — complex
 //! magnitudes, radix-2 butterfly passes, Bluestein's pointwise complex
-//! products, the grid-resample evaluations and the 4-lane sums behind means
-//! and variances — lives here once, as portable scalar code written so the
-//! autovectorizer can lift it. Only [`butterfly_stage`] keeps a second,
-//! explicit SSE2 body on `x86_64` (part of the baseline ABI, so no feature
-//! detection), chosen at compile time: measured at the shapes the pipeline
-//! runs, it is the one kernel whose SIMD body pays end to end.
+//! products, the grid-resample evaluations, the 4-lane sums behind means
+//! and variances and the epoch fold of fold validation — lives here once,
+//! as portable scalar code written so the autovectorizer can lift it. Two
+//! kernels keep a second, explicit SSE2 body on `x86_64` (part of the
+//! baseline ABI, so no feature detection), chosen at compile time:
+//! [`butterfly_stage`] and [`fold_bins`]. Measured at the shapes the
+//! pipeline runs, they are the kernels whose SIMD bodies pay end to end.
 //!
 //! # Numeric contract
 //!
 //! The SSE2 butterfly is bit-identical to [`scalar::butterfly_stage`] on
-//! finite inputs (pinned by `tests/kernel_identity.rs`): it performs the
-//! same IEEE-754 operations in the same order. Relative to the *legacy*
-//! (pre-kernel) code two classes exist:
+//! finite inputs, and the SSE2 fold to [`scalar::fold_bins`] on every input
+//! (both pinned by `tests/kernel_identity.rs`). The butterfly performs the
+//! same IEEE-754 operations in the same order; the fold reaches the same
+//! bin for every sample by other operations (see [`fold_bins`]) and sums
+//! each bin in sample order. Relative to the *legacy* (pre-kernel) code
+//! two classes exist:
 //!
 //! * **bit-identity class** — element-wise kernels (butterflies, complex
 //!   products, conjugate/scale, resample evaluations, demean subtraction)
-//!   preserve the legacy summation order and stay bit-identical to it;
+//!   and the fold preserve the legacy summation order and stay
+//!   bit-identical to it;
 //! * **accuracy-gated class** — reductions ([`sum`], [`sum_sq_diff`])
 //!   reassociate into four lanes combined as `(l0+l2)+(l1+l3)`, and
 //!   [`magnitudes_into`] computes `sqrt(re² + im²)` instead of
@@ -29,11 +34,31 @@
 //!
 //! Kernels never allocate: callers pass slices or reuse output `Vec`s
 //! (cleared/resized, so warm calls stay inside the zero-alloc gate).
+//!
+//! # The exact fold
+//!
+//! Both bodies of [`fold_bins`] take each sample's remainder
+//! `t.rem_euclid(cycle)` bit for bit without libm's `fmod`. The scalar body
+//! does so wherever `0 ≤ t/cycle < 2²⁶` and `cycle` is normal. There
+//! `cycle` splits into `hi` (its top 26 significant bits) and
+//! `lo = cycle − hi`, both exact, and `q = trunc(t / cycle)` is the true
+//! quotient `n` or `n + 1` (the division may round up onto the next
+//! integer). Then every step of `r = (t − q·hi) − q·lo` is exact: `q·hi`
+//! and `q·lo` fit in 53 bits; `t − q·hi` is exact because `q·hi` lies
+//! within a factor of two of `t` or, when `q = 1` and `hi < t/2`, on `t`'s
+//! own grid; and the final difference is `t − q·cycle`, which is either
+//! `fmod`'s result or that minus `cycle`, a few ulps of `t` at most — both
+//! representable. Adding `cycle` back when `r < 0` therefore lands exactly
+//! on `fmod`'s result. Outside that domain (negative or huge `t`,
+//! non-finite values, a subnormal or infinite `cycle`) the scalar body
+//! folds with `rem_euclid`. The SSE2 body replaces the division by a
+//! product with `fl(1/cycle)` on a narrower domain; [`fold_bins`] gives
+//! the argument.
 
 use crate::complex::Complex64;
 
-/// Name of the butterfly's instruction path, for benchmark environment
-/// capture: `"sse2"` on `x86_64`, `"portable"` elsewhere.
+/// Name of the instruction path of the two-bodied kernels, for benchmark
+/// environment capture: `"sse2"` on `x86_64`, `"portable"` elsewhere.
 pub const fn active_path_name() -> &'static str {
     if cfg!(target_arch = "x86_64") {
         "sse2"
@@ -262,12 +287,175 @@ pub fn spline_grid_into(
     }
 }
 
-/// The portable butterfly: the only body off `x86_64`, and the reference
-/// the SSE2 body is tested against. Exposed for the differential tests and
-/// the kernel microbench.
+/// Phase bins of one epoch fold ([`fold_bins`]).
+pub const FOLD_BINS: usize = 12;
+
+/// The sample columns [`fold_bins`] reads: each sample's time `t` and its
+/// `[v, v²]` pair. Filled once from `(t, v)` samples, then folded at any
+/// number of periods; buffers grow on first use and are kept.
+#[derive(Debug, Clone, Default)]
+pub struct FoldColumns {
+    t: Vec<f64>,
+    vv: Vec<[f64; 2]>,
+    /// The largest `t` when every `t` is finite and ≥ 0, +∞ otherwise: all
+    /// the SSE2 fold's domain check needs to know of the times.
+    t_max: f64,
+}
+
+impl FoldColumns {
+    /// Empty columns.
+    pub fn new() -> Self {
+        FoldColumns::default()
+    }
+
+    /// Refills the columns from `(t, v)` samples, in order.
+    pub fn fill(&mut self, samples: &[(f64, f64)]) {
+        self.t.clear();
+        self.t.extend(samples.iter().map(|&(t, _)| t));
+        self.vv.clear();
+        self.vv.extend(samples.iter().map(|&(_, v)| [v, v * v]));
+        self.t_max = self
+            .t
+            .iter()
+            .try_fold(0.0f64, |m, &t| (t >= 0.0 && t.is_finite()).then(|| m.max(t)))
+            .unwrap_or(f64::INFINITY);
+    }
+
+    /// Number of samples.
+    pub fn len(&self) -> usize {
+        self.t.len()
+    }
+
+    /// Whether the columns hold no sample.
+    pub fn is_empty(&self) -> bool {
+        self.t.is_empty()
+    }
+}
+
+/// One fold's accumulations ([`fold_bins`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FoldBins {
+    /// `[Σv, Σv²]` of each phase bin, summed in sample order.
+    pub sums: [[f64; 2]; FOLD_BINS],
+    /// Samples in each phase bin.
+    pub counts: [usize; FOLD_BINS],
+}
+
+impl FoldBins {
+    #[inline(always)]
+    fn add(&mut self, b: usize, vv: [f64; 2]) {
+        let s = &mut self.sums[b];
+        s[0] += vv[0];
+        s[1] += vv[1];
+        self.counts[b] += 1;
+    }
+}
+
+/// Folds the columns at period `cycle`: each sample goes to the phase bin
+/// `min(11, trunc((r / cycle)·12))` of its remainder
+/// `r = t.rem_euclid(cycle)`, and each bin sums `v` and `v²` and counts
+/// its samples, in sample order. Bit-identity class: the result equals
+/// that loop with `rem_euclid` bit for bit, on any input, though neither
+/// body calls libm's `fmod`.
+///
+/// [`scalar::fold_bins`] divides twice per sample: once for the quotient
+/// of the exact remainder the [module docs](self) derive, once for the
+/// phase.
+/// The SSE2 body folds two samples per step without a division, wherever
+/// `cycle`, `1/cycle` and `12/cycle` are normal and every `t` is finite,
+/// ≥ 0 and < 2²⁵·`cycle`; any other call runs the scalar body. With
+/// `n = ⌊t/cycle⌋` and `cycle = hi + lo` split as in the scalar body:
+///
+/// * **Quotient.** `q = trunc(t·fl(1/cycle))` lies within a relative 2⁻⁵²
+///   of `t/cycle`, so it is `n − 1`, `n` or `n + 1`. `q·hi` and `q·lo` are
+///   exact (`q` has at most 26 significant bits, `hi` 26, `lo` 27), and so
+///   is `A = t − q·hi`: both terms are multiples of `ulp(t)` (`hi`'s last
+///   bit is at or above it, because `t < 2²⁵·cycle`), and `A` either lies
+///   in `[0, t]` or, for `q = n + 1`, within a few ulps of `t` below zero.
+///   For `q = n` and `n + 1`, `r = A − q·lo` is `t − q·cycle` exactly, as
+///   in the scalar body. For `q = n − 1` the true `t − q·cycle` is at least
+///   `cycle`, and rounding it once cannot take it below the representable
+///   `cycle`: the case always shows as `r ≥ cycle` and is redone with
+///   `q + 1`. A negative `r` then gains `cycle`, which lands exactly on
+///   `fmod`'s result.
+/// * **Bin.** `b = min(11, trunc(r·fl(12/cycle)))` differs from the scalar
+///   bin by at most one, since both products lie within a relative 2⁻⁵¹ of
+///   `12·r/cycle`. The scalar bin map is monotone in `r` (each of its
+///   steps is), so it reaches bin `k` exactly when `r ≥ T_k`, for eleven
+///   per-period thresholds `T_k`, each found once per call by ulp steps.
+///   Two compares against `T_b` and `T_(b+1)` correct `b`.
+/// * **Sums.** Each bin adds its samples' `v` and `v²` in sample order.
+pub fn fold_bins(cols: &FoldColumns, cycle: f64) -> FoldBins {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(grid) = sse2::FoldGrid::new(cycle, cols.t_max) {
+        return sse2::fold_bins(&cols.t, &cols.vv, &grid);
+    }
+    scalar::fold_bins(cols, cycle)
+}
+
+/// The phase bin of a remainder `r ∈ [0, cycle)` as both fold bodies
+/// define it: `min(11, trunc((r / cycle)·12))`.
+#[inline(always)]
+fn phase_bin(r: f64, cycle: f64) -> usize {
+    ((r / cycle * FOLD_BINS as f64) as usize).min(FOLD_BINS - 1)
+}
+
+/// `t.rem_euclid(cycle)`, bit for bit, without `fmod` wherever
+/// `0 ≤ t/cycle < 2²⁶` and `cycle` is normal; the [module docs](self)
+/// give the argument. Elsewhere the remainder is `rem_euclid`'s own.
+struct ExactFold {
+    cycle: f64,
+    /// `cycle` with the low 27 mantissa bits cleared.
+    hi: f64,
+    /// `cycle − hi`, exact.
+    lo: f64,
+    /// Largest quotient taken on the fast path: 2²⁶ for a normal `cycle`,
+    /// 0 (every sample falls back) otherwise.
+    limit: f64,
+}
+
+impl ExactFold {
+    fn new(cycle: f64) -> Self {
+        let hi = f64::from_bits(cycle.to_bits() & !((1u64 << 27) - 1));
+        let limit = if cycle.is_normal() { (1u64 << 26) as f64 } else { 0.0 };
+        ExactFold { cycle, hi, lo: cycle - hi, limit }
+    }
+
+    #[inline(always)]
+    fn rem(&self, t: f64) -> f64 {
+        let q = t / self.cycle;
+        if q >= 0.0 && q < self.limit {
+            let q = q as i64 as f64;
+            let r = (t - q * self.hi) - q * self.lo;
+            if r < 0.0 {
+                r + self.cycle
+            } else {
+                r
+            }
+        } else {
+            t.rem_euclid(self.cycle)
+        }
+    }
+}
+
+/// The portable bodies of the two-bodied kernels: the only bodies off
+/// `x86_64`, and the references the SSE2 bodies are tested against.
+/// Exposed for the differential tests and the kernel microbench.
 #[doc(hidden)]
 pub mod scalar {
+    use super::{phase_bin, ExactFold, FoldBins, FoldColumns};
     use crate::complex::Complex64;
+
+    /// The fold (see [`super::fold_bins`]), one sample at a time: the
+    /// exact remainder, then the phase bin.
+    pub fn fold_bins(cols: &FoldColumns, cycle: f64) -> FoldBins {
+        let fold = ExactFold::new(cycle);
+        let mut bins = FoldBins::default();
+        for (&t, &vv) in cols.t.iter().zip(&cols.vv) {
+            bins.add(phase_bin(fold.rem(t), cycle), vv);
+        }
+        bins
+    }
 
     /// One radix-2 butterfly stage (see [`super::butterfly_stage`]).
     pub fn butterfly_stage(buf: &mut [Complex64], half: usize, twiddles: &[Complex64]) {
@@ -286,13 +474,153 @@ pub mod scalar {
     }
 }
 
-/// The SSE2 butterfly (baseline ABI on `x86_64` — every CPU has it, no
-/// detection). Bit-identical to [`scalar::butterfly_stage`] on finite
-/// inputs.
+/// The SSE2 butterfly and fold (baseline ABI on `x86_64` — every CPU has
+/// it, no detection). Bit-identical to [`scalar::butterfly_stage`] on
+/// finite inputs and to [`scalar::fold_bins`] on every input.
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
+    use super::{phase_bin, ExactFold, FoldBins, FOLD_BINS};
     use crate::complex::Complex64;
     use std::arch::x86_64::*;
+
+    /// The per-period constants of the SSE2 fold.
+    pub(super) struct FoldGrid {
+        cycle: f64,
+        /// `fl(1/cycle)`.
+        inv: f64,
+        /// `fl(12/cycle)`.
+        inv12: f64,
+        /// `cycle`'s top 26 significant bits, as in the scalar body.
+        hi: f64,
+        /// `cycle − hi`, exact.
+        lo: f64,
+        /// `thresholds[k]` is the least `r` in bin `k` or above
+        /// ([`bin_threshold`]) for `1 ≤ k < 12`; −∞ at 0 and +∞ at 12, so
+        /// two compares correct any estimate in `0..12`.
+        thresholds: [f64; FOLD_BINS + 1],
+    }
+
+    impl FoldGrid {
+        /// The constants for folding at `cycle` times that are all finite,
+        /// ≥ 0 and ≤ `t_max` (+∞ when they are not); `None` outside the
+        /// SSE2 body's domain (see [`super::fold_bins`]).
+        pub(super) fn new(cycle: f64, t_max: f64) -> Option<FoldGrid> {
+            let (inv, inv12) = (1.0 / cycle, FOLD_BINS as f64 / cycle);
+            let in_domain = cycle > 0.0
+                && cycle.is_normal()
+                && inv.is_normal()
+                && inv12.is_normal()
+                && t_max < (1u64 << 25) as f64 * cycle;
+            if !in_domain {
+                return None;
+            }
+            let ExactFold { hi, lo, .. } = ExactFold::new(cycle);
+            // Most starts are their threshold already (about three in
+            // four at the periods fold validation tries): check them all
+            // in one pass of independent divisions, then walk the rest.
+            let mut thresholds = [f64::NEG_INFINITY; FOLD_BINS + 1];
+            thresholds[FOLD_BINS] = f64::INFINITY;
+            let mut exact = [false; FOLD_BINS];
+            for k in 1..FOLD_BINS {
+                let r = threshold_start(k, cycle);
+                thresholds[k] = r;
+                exact[k] = (phase_bin(r, cycle) >= k) & (phase_bin(below(r), cycle) < k);
+            }
+            for k in 1..FOLD_BINS {
+                if !exact[k] {
+                    thresholds[k] = bin_threshold(k, cycle);
+                }
+            }
+            Some(FoldGrid { cycle, inv, inv12, hi, lo, thresholds })
+        }
+
+        /// Both lanes' phase bins of the times in `t`.
+        #[inline(always)]
+        fn bins(&self, t: __m128d) -> [usize; 2] {
+            // SAFETY: register-only SSE2 arithmetic; SSE2 is part of the
+            // x86_64 baseline.
+            unsafe {
+                let cycle = _mm_set1_pd(self.cycle);
+                let (hi, lo) = (_mm_set1_pd(self.hi), _mm_set1_pd(self.lo));
+                let rem = |q| _mm_sub_pd(_mm_sub_pd(t, _mm_mul_pd(q, hi)), _mm_mul_pd(q, lo));
+                let q = _mm_cvtepi32_pd(_mm_cvttpd_epi32(_mm_mul_pd(t, _mm_set1_pd(self.inv))));
+                let mut r = rem(q);
+                // q = n − 1: redo those lanes with q + 1.
+                let low = _mm_cmpge_pd(r, cycle);
+                if _mm_movemask_pd(low) != 0 {
+                    r = rem(_mm_add_pd(q, _mm_and_pd(low, _mm_set1_pd(1.0))));
+                }
+                // q = n + 1: the remainder is r + cycle.
+                r = _mm_add_pd(r, _mm_and_pd(_mm_cmplt_pd(r, _mm_setzero_pd()), cycle));
+                let last = _mm_set1_pd((FOLD_BINS - 1) as f64);
+                let b = _mm_cvttpd_epi32(_mm_min_pd(_mm_mul_pd(r, _mm_set1_pd(self.inv12)), last));
+                [
+                    self.exact_bin(_mm_cvtsi128_si32(b) as usize, _mm_cvtsd_f64(r)),
+                    self.exact_bin(
+                        _mm_cvtsi128_si32(_mm_shuffle_epi32::<0b01>(b)) as usize,
+                        _mm_cvtsd_f64(_mm_unpackhi_pd(r, r)),
+                    ),
+                ]
+            }
+        }
+
+        /// The scalar bin of remainder `r`, from an estimate `b` at most
+        /// one away.
+        #[inline(always)]
+        fn exact_bin(&self, b: usize, r: f64) -> usize {
+            b + usize::from(r >= self.thresholds[b + 1]) - usize::from(r < self.thresholds[b])
+        }
+    }
+
+    /// Where the search for bin `k`'s threshold starts: `cycle·(k/12)`,
+    /// within an ulp or two of the threshold.
+    #[inline(always)]
+    fn threshold_start(k: usize, cycle: f64) -> f64 {
+        cycle * (k as f64 / FOLD_BINS as f64)
+    }
+
+    /// The float below `r > 0`.
+    #[inline(always)]
+    fn below(r: f64) -> f64 {
+        f64::from_bits(r.to_bits() - 1)
+    }
+
+    /// The least `r` whose [`phase_bin`] at `cycle` is `k` or above
+    /// (`1 ≤ k < 12`, `cycle` normal): from [`threshold_start`], ulp steps
+    /// up until `r` reaches bin `k`, then down while the float below still
+    /// does. The bin map is monotone in `r`, so `r` reaches bin `k`
+    /// exactly when it is at least the result.
+    pub(super) fn bin_threshold(k: usize, cycle: f64) -> f64 {
+        let mut r = threshold_start(k, cycle);
+        while phase_bin(r, cycle) < k {
+            r = f64::from_bits(r.to_bits() + 1);
+        }
+        while r > 0.0 && phase_bin(below(r), cycle) >= k {
+            r = below(r);
+        }
+        r
+    }
+
+    /// The fold, two samples per step (see [`super::fold_bins`]); an odd
+    /// last sample takes lane 0 of a step of its own.
+    pub(super) fn fold_bins(t: &[f64], vv: &[[f64; 2]], grid: &FoldGrid) -> FoldBins {
+        let mut bins = FoldBins::default();
+        let (t_pairs, vv_pairs) = (t.chunks_exact(2), vv.chunks_exact(2));
+        let (t_tail, vv_tail) = (t_pairs.remainder(), vv_pairs.remainder());
+        for (tp, vp) in t_pairs.zip(vv_pairs) {
+            // SAFETY: register-only SSE2; SSE2 is part of the x86_64
+            // baseline.
+            let [b0, b1] = grid.bins(unsafe { _mm_set_pd(tp[1], tp[0]) });
+            bins.add(b0, vp[0]);
+            bins.add(b1, vp[1]);
+        }
+        if let (Some(&t), Some(&vv)) = (t_tail.first(), vv_tail.first()) {
+            // SAFETY: as above.
+            let [b, _] = grid.bins(unsafe { _mm_set1_pd(t) });
+            bins.add(b, vv);
+        }
+        bins
+    }
 
     /// Complex product of two `[re, im]` registers with the exact
     /// `Complex64: Mul` rounding: `re = a.re·b.re − a.im·b.im`,
@@ -404,6 +732,88 @@ mod tests {
         for (k, v) in out.iter().enumerate() {
             let legacy = crate::interpolate::linear_eval(&points, t0 + dt * k as f64);
             assert!(f64_bits_eq(*v, legacy), "k={k}");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn each_bin_threshold_is_the_least_r_reaching_its_bin() {
+        let below = |r: f64| f64::from_bits(r.to_bits() - 1);
+        let mut cycles = vec![5.0, 12.0, 97.3, 98.0, 98.25, 120.0, 399.75, 400.0, 1e-300, 1e300];
+        cycles.extend((0..200).map(|k| 5.0 + k as f64 * 1.987_654_321));
+        for cycle in cycles {
+            for k in 1..FOLD_BINS {
+                let th = sse2::bin_threshold(k, cycle);
+                assert!(phase_bin(th, cycle) >= k, "cycle {cycle:e} k {k}: {th:e} is below bin k");
+                assert!(
+                    phase_bin(below(th), cycle) < k,
+                    "cycle {cycle:e} k {k}: the float below {th:e} reaches bin k"
+                );
+            }
+        }
+    }
+
+    mod proptests {
+        use super::super::ExactFold;
+        use proptest::prelude::*;
+
+        /// `x` moved by `ulps` units in the last place (`x > 0`).
+        fn ulps_away(x: f64, ulps: i64) -> f64 {
+            f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+        }
+
+        fn same_as_rem_euclid(t: f64, cycle: f64) -> Result<(), TestCaseError> {
+            let (got, want) = (ExactFold::new(cycle).rem(t), t.rem_euclid(cycle));
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "t {t:e} cycle {cycle:e}: {got:e} vs {want:e}"
+            );
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn exact_fold_equals_rem_euclid_bit_for_bit(
+                cycle in 5.0f64..400.0,
+                shape in 0u32..3,
+                whole in 0u64..=1_000_000,
+                frac in 0.0f64..1.0,
+                ulps in -3i64..=3,
+                tiny in 1u64..(1u64 << 52),
+            ) {
+                // Periods as the refinement grid makes them: any value,
+                // whole seconds and quarter seconds.
+                let cycle = match shape {
+                    0 => cycle,
+                    1 => cycle.round(),
+                    _ => (cycle * 4.0).round() / 4.0,
+                };
+                let t_int = whole as f64;
+                let t_frac = frac * 1e6;
+                // Within ±3 ulps of a whole number of cycles, where the
+                // quotient rounds up onto the next integer.
+                let k = (t_frac / cycle).round().max(1.0);
+                let near_multiple = ulps_away(k * cycle, ulps);
+                let ts = [t_int, t_frac, near_multiple, 0.0, ulps_away(cycle, ulps)];
+                for t in ts {
+                    same_as_rem_euclid(t, cycle)?;
+                    // Fallback domain: negative t.
+                    same_as_rem_euclid(-t, cycle)?;
+                }
+                // Fallback domain: t/cycle at and beyond 2^26.
+                let edge = cycle * (1u64 << 26) as f64;
+                for t in [ulps_away(edge, ulps), edge * (1.0 + frac), t_frac * 1e9] {
+                    same_as_rem_euclid(t, cycle)?;
+                }
+                // Fallback domain: a subnormal cycle.
+                let subnormal = f64::from_bits(tiny);
+                for t in [t_frac * 1e-300, ulps_away(subnormal * 3.0, ulps), t_int] {
+                    same_as_rem_euclid(t, subnormal)?;
+                }
+            }
         }
     }
 }

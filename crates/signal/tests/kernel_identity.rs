@@ -1,11 +1,12 @@
-//! Differential proptests for the kernel layer. The one kernel with two
-//! bodies — the radix-2 butterfly, SSE2 on `x86_64` — must match its
-//! scalar reference **bit for bit** (`f64::to_bits`) on arbitrary finite
-//! inputs at every stage size, and the grid kernels must reproduce the
+//! Differential proptests for the kernel layer. The two kernels with two
+//! bodies — the radix-2 butterfly and the epoch fold, SSE2 on `x86_64` —
+//! must match their scalar references **bit for bit** (`f64::to_bits`):
+//! the butterfly on arbitrary finite inputs at every stage size, the fold
+//! on any times, values and periods. The grid kernels must reproduce the
 //! legacy per-point evaluations they replace.
 
 use proptest::prelude::*;
-use taxilight_signal::kernels::{self, scalar};
+use taxilight_signal::kernels::{self, scalar, FoldBins, FoldColumns};
 use taxilight_signal::Complex64;
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -139,6 +140,133 @@ proptest! {
         if distinct_slots && all_on_slots {
             prop_assert_eq!(bits(&ws_out), bits(&legacy));
         }
+    }
+}
+
+/// Exact bits of one fold: each bin's `[Σv, Σv²]`, then the counts.
+fn fold_bits(b: &FoldBins) -> Vec<u64> {
+    let sums = b.sums.iter().flat_map(|s| [s[0].to_bits(), s[1].to_bits()]);
+    sums.chain(b.counts.iter().map(|&c| c as u64)).collect()
+}
+
+/// The dispatched fold (SSE2 on `x86_64` wherever its domain holds) and
+/// the scalar reference give the same bits.
+fn same_fold(samples: &[(f64, f64)], cycle: f64) -> Result<(), TestCaseError> {
+    let mut cols = FoldColumns::new();
+    cols.fill(samples);
+    prop_assert_eq!(
+        fold_bits(&kernels::fold_bins(&cols, cycle)),
+        fold_bits(&scalar::fold_bins(&cols, cycle)),
+        "cycle {:e}, {} samples",
+        cycle,
+        samples.len()
+    );
+    Ok(())
+}
+
+/// Periods as the fold-validation grid makes them: any value, whole
+/// seconds and quarter seconds.
+fn period(cycle: f64, shape: u32) -> f64 {
+    match shape {
+        0 => cycle,
+        1 => cycle.round(),
+        _ => (cycle * 4.0).round() / 4.0,
+    }
+}
+
+/// `x` moved by `ulps` units in the last place; 0 stays 0.
+fn ulps_away(x: f64, ulps: i64) -> f64 {
+    if x == 0.0 {
+        return 0.0;
+    }
+    f64::from_bits(x.to_bits().wrapping_add_signed(ulps))
+}
+
+/// Speeds in the km/h range, cycled over the samples.
+fn speed(values: &[f64], i: usize) -> f64 {
+    values[i % values.len()]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn fold_paths_bitwise_equal(
+        times in prop::collection::vec(0.0f64..3_600.0, 0..300),
+        values in prop::collection::vec(-5.0f64..80.0, 1..16),
+        cycle in 5.0f64..400.0,
+        shape in 0u32..3,
+        whole_seconds in prop::bool::ANY,
+    ) {
+        // Window-relative report times are whole seconds; pooled and
+        // mirrored samples need not be. Odd lengths fold a tail sample.
+        let samples: Vec<(f64, f64)> = times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| (if whole_seconds { t.floor() } else { t }, speed(&values, i)))
+            .collect();
+        same_fold(&samples, period(cycle, shape))?;
+    }
+
+    #[test]
+    fn fold_paths_agree_at_period_and_bin_edges(
+        cycle in 5.0f64..400.0,
+        shape in 0u32..3,
+        edges in prop::collection::vec((0u64..100_000, -3i64..=3, 0u32..3), 1..80),
+        values in prop::collection::vec(-5.0f64..80.0, 1..16),
+    ) {
+        // Times within ±3 ulps of k·cycle, where the quotient is off by
+        // one, and of k·cycle/12, where the phase sits on a bin edge
+        // (for k < 12 the remainder itself does, to the ulp).
+        let cycle = period(cycle, shape);
+        let samples: Vec<(f64, f64)> = edges
+            .iter()
+            .enumerate()
+            .map(|(i, &(k, ulps, kind))| {
+                let edge = match kind {
+                    0 => k as f64 * cycle,
+                    1 => k as f64 * cycle / 12.0,
+                    _ => (k % 12) as f64 * cycle / 12.0,
+                };
+                (ulps_away(edge, ulps), speed(&values, i))
+            })
+            .collect();
+        same_fold(&samples, cycle)?;
+    }
+
+    #[test]
+    fn fold_paths_agree_outside_the_sse2_domain(
+        times in prop::collection::vec(0.0f64..3_600.0, 1..120),
+        values in prop::collection::vec(-5.0f64..80.0, 1..16),
+        cycle in 5.0f64..400.0,
+        pick in 0usize..120,
+        ulps in -3i64..=3,
+        frac in 0.0f64..1.0,
+        tiny in 1u64..(1u64 << 52),
+    ) {
+        let samples: Vec<(f64, f64)> =
+            times.iter().enumerate().map(|(i, &t)| (t, speed(&values, i))).collect();
+        let i = pick % samples.len();
+        let with = |t: f64| {
+            let mut s = samples.clone();
+            s[i].0 = t;
+            s
+        };
+        // A negative time.
+        same_fold(&with(-samples[i].0 - 1.0), cycle)?;
+        // t/cycle at and beyond 2^25, up to past the i32 quotient range.
+        let edge = cycle * (1u64 << 25) as f64;
+        same_fold(&with(ulps_away(edge, ulps)), cycle)?;
+        for scale in [1.0, 2.0, 64.0, 1e6] {
+            same_fold(&with(edge * scale * (1.0 + frac)), cycle)?;
+        }
+        // A non-finite time.
+        same_fold(&with(f64::NAN), cycle)?;
+        same_fold(&with(f64::INFINITY), cycle)?;
+        // A subnormal cycle, and cycles whose reciprocals are not normal.
+        same_fold(&samples, f64::from_bits(tiny))?;
+        same_fold(&samples, f64::MIN_POSITIVE * (1.0 + frac))?;
+        same_fold(&samples, f64::MAX * frac.max(0.5))?;
     }
 }
 

@@ -7,7 +7,7 @@
 use crate::csv::{decode_line, decode_record, encode_record, CsvError, LineDecode, LINE_BUF_BYTES};
 use crate::record::{Fleet, TaxiRecord};
 use crate::stream::TraceLog;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Errors from trace-file operations.
@@ -72,6 +72,10 @@ pub fn read_trace_file(path: &Path) -> Result<ReadOutcome, TraceFileError> {
     Ok((TraceLog::from_records(records), fleet, errors))
 }
 
+/// One line of a feed as `(line_number, decoded)`, with `decoded` `None`
+/// for a blank line.
+pub type AnyLine = (usize, Option<Result<TaxiRecord, CsvError>>);
+
 /// Reads a feed one line at a time from any [`BufRead`] and decodes each
 /// line through [`decode_line`] — the line reader behind [`TraceReader`]
 /// and the daemon's ND-JSON feed. It holds at most
@@ -98,23 +102,40 @@ impl<R: BufRead> LineReader<R> {
         &mut self,
         fleet: &mut Fleet,
     ) -> std::io::Result<Option<(usize, Result<TaxiRecord, CsvError>)>> {
-        while let Some(fits) = read_line_capped(&mut self.reader, &mut self.buf, LINE_BUF_BYTES)? {
-            if !fits {
-                // Consume the rest of the overlong line without keeping it.
-                self.reader.skip_until(b'\n')?;
-            }
-            let line_no = self.line_no;
-            self.line_no += 1;
-            let decoded = if fits {
-                decode_line(&self.buf, fleet, self.decode)
-            } else {
-                Some(Err(CsvError::LineTooLong))
-            };
+        while let Some((line_no, decoded)) = self.next_any_line(fleet)? {
             if let Some(result) = decoded {
                 return Ok(Some((line_no, result)));
             }
         }
         Ok(None)
+    }
+
+    /// The next line, blank ones included; `None` at end of input.
+    pub fn next_any_line(&mut self, fleet: &mut Fleet) -> std::io::Result<Option<AnyLine>> {
+        let Some(fits) = read_line_capped(&mut self.reader, &mut self.buf, LINE_BUF_BYTES)? else {
+            return Ok(None);
+        };
+        if !fits {
+            // Consume the rest of the overlong line without keeping it.
+            self.reader.skip_until(b'\n')?;
+        }
+        let line_no = self.line_no;
+        self.line_no += 1;
+        let decoded = if fits {
+            decode_line(&self.buf, fleet, self.decode)
+        } else {
+            Some(Err(CsvError::LineTooLong))
+        };
+        Ok(Some((line_no, decoded)))
+    }
+}
+
+impl<R: Read> LineReader<BufReader<R>> {
+    /// Whether the read buffer already holds the next line through its
+    /// `\n`, so that [`next_any_line`](Self::next_any_line) returns it
+    /// without reading.
+    pub fn line_buffered(&self) -> bool {
+        self.reader.buffer().contains(&b'\n')
     }
 }
 
